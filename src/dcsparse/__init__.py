@@ -23,9 +23,9 @@ from .solvers import (InstanceTooLarge, NumericalFailure, ReconResult,
                       bcqp_gradient, brute_force_l0, dc_gpsr, dc_proximal,
                       default_rho, gpsr_baseline, ista, objective_exact,
                       objective_l1, omp, solve_bcqp_gp)
-from .sparsity import (SplitVector, SubgradientVector, merge_split,
-                       project_nonneg, soft_threshold, sparsity_gap,
-                       split_pos_neg, top_k1_norm, top_k1_subgradient)
+from .sparsity import (SubgradientVector, project_nonneg, soft_threshold,
+                       sparsity_gap, split_pos_neg, top_k1_norm,
+                       top_k1_subgradient)
 
 __all__ = [
     "ChannelSample", "PathSpec", "concat_real", "dft_matrix",
@@ -42,9 +42,8 @@ __all__ = [
     "SolverTrace", "SparseProblem", "bcqp_gradient", "brute_force_l0",
     "dc_gpsr", "dc_proximal", "default_rho", "gpsr_baseline", "ista",
     "objective_exact", "objective_l1", "omp", "solve_bcqp_gp",
-    "SplitVector", "SubgradientVector", "merge_split", "project_nonneg",
-    "soft_threshold", "sparsity_gap", "split_pos_neg", "top_k1_norm",
-    "top_k1_subgradient",
+    "SubgradientVector", "project_nonneg", "soft_threshold", "sparsity_gap",
+    "split_pos_neg", "top_k1_norm", "top_k1_subgradient",
 ]
 
 __version__ = "0.1.0"

@@ -12,13 +12,14 @@ Exit status: 0 success, 1 validation or usage error, 2 numerical failure.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .channel import sample_sparse_channel
 from .fileio import load_matrix, load_vector_csv, save_channel, save_matrix, \
     save_result, save_trace_csv, save_vector_csv
 from .harness import SOLVER_REGISTRY, ConfigError, load_config, run_noiseless_study, \
-    run_snr_sweep, with_seed
+    run_snr_sweep
 from .metrics import normalized_sq_error
 from .seeding import derive_seed
 from .sensing import gaussian_matrix, measure
@@ -142,7 +143,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
+        cfg = replace(cfg, base_seed=args.seed)
     if cfg.snr_grid_db:
         records, summary = run_snr_sweep(cfg, out_dir=args.out, fmt=args.format)
         for solver, snr_db, value in summary:

@@ -9,7 +9,7 @@ for wall-clock columns.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import sample_sparse_channel
@@ -273,8 +273,3 @@ def run_snr_sweep(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
             save_records_json(out_dir / "records.json", records)
             save_summary_json(out_dir / "summary.json", summary)
     return records, summary
-
-
-def with_seed(cfg: ExperimentConfig, base_seed: int) -> ExperimentConfig:
-    """Copy of the config with a different base seed."""
-    return replace(cfg, base_seed=base_seed)

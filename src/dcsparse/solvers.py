@@ -5,15 +5,17 @@ The flagship routine, dc_gpsr, minimizes
     0.5 * ||y - phi @ x||^2 + rho * (||x||_1 - ||x||_{k,1})
 
 whose penalty is an exact expression of "at most k nonzeros".  The
-objective is a difference of convex functions, so each outer step
-linearizes the subtracted top-(k,1) norm at the current iterate and
-solves the remaining convex piece.  Splitting x into positive and
-negative parts turns that subproblem into a nonnegativity-constrained
-quadratic program handled matrix-free by projected gradients with
-Barzilai-Borwein step sizes (solve_bcqp_gp).
+objective is a difference of convex functions, so each step of one DC
+outer loop (_dc_loop) linearizes the subtracted top-(k,1) norm at the
+current iterate and solves the remaining convex piece with one of two
+inner solvers.  dc_gpsr splits x into positive and negative parts, which
+turns the subproblem into a nonnegativity-constrained quadratic program
+handled matrix-free by projected gradients with Barzilai-Borwein step
+sizes (solve_bcqp_gp); dc_proximal runs proximal-gradient iterations on
+the unsplit subproblem (_solve_prox).
 
-dc_proximal swaps the inner solver for proximal-gradient iterations on
-the unsplit subproblem.  gpsr_baseline (plain l1), ista, omp, and a
+The l1 baselines gpsr_baseline and ista are the first step of either
+loop with a zero subgradient, tracing every inner iterate.  omp and a
 brute-force cardinality-constrained least-squares oracle round out the
 benchmark set.
 """
@@ -26,16 +28,19 @@ import numpy as np
 
 from .metrics import normalized_sq_error
 from .sensing import MeasurementMatrix
-from .sparsity import soft_threshold, sparsity_gap, top_k1_subgradient
+from .sparsity import soft_threshold, sparsity_gap, split_pos_neg, top_k1_subgradient
 
-# Inner-solve tolerance schedule of the DC loops: outer step t solves its
-# subproblem at max(inner_tol * _TOL_SHRINK**(t-1), _TOL_FLOOR), so early
+# Inner-solve tolerance schedule of the DC loop: outer step t solves its
+# subproblem at max(inner_tol * _TOL_SHRINK**(t-1), floor), so early
 # subproblems stop at the configured practical tolerance while late ones
-# are polished to the floating-point floor.  The floor is expressed on
-# the *predicted* per-step decrease, which stays resolvable far below the
-# ~1e-16 * |G| resolution of the objective values themselves.
+# are polished to the floating-point floor.  dc_gpsr's floor is expressed
+# on the *predicted* per-step decrease, which stays resolvable far below
+# the ~1e-16 * |G| resolution of the objective values themselves;
+# dc_proximal's inner stop compares objective values, so its floor sits
+# just above that resolution.
 _TOL_SHRINK = 1e-2
 _TOL_FLOOR = 1e-26
+_PROX_TOL_FLOOR = 1e-15
 
 
 class NumericalFailure(RuntimeError):
@@ -188,12 +193,30 @@ def _power_lam_max(mat: np.ndarray, iters: int = 100) -> float:
     return lam
 
 
+def _bcqp_linear_term(p: SparseProblem, w_z: np.ndarray) -> np.ndarray:
+    """Linear term c = [-phi^T y; phi^T y] + rho * (1 - w_z) of the split subproblem."""
+    pty = p.phi.phi.T @ p.y
+    return np.concatenate([-pty, pty]) + p.rho * (1.0 - w_z)
+
+
+def _bcqp_grad(phi, fx, c):
+    """Split-form gradient [g; -g] + c with g = phi^T fx and fx = phi (u - v)."""
+    g = phi.T @ fx
+    return np.concatenate([g, -g]) + c
+
+
+def _unsplit(z: np.ndarray) -> np.ndarray:
+    """x = u - v from the stacked split z = [u; v]."""
+    n = z.size // 2
+    return z[:n] - z[n:]
+
+
 def bcqp_gradient(z: np.ndarray, p: SparseProblem, w_z: np.ndarray) -> np.ndarray:
     """Gradient of the split-form quadratic subproblem at z = [u; v].
 
-    With x = u - v and g = phi^T (phi x - y), the gradient is
-    [g; -g] + rho * (1 - w_z), computed with two matrix-vector products
-    and never forming the 2n x 2n block quadratic.
+    With x = u - v, the gradient is [g; -g] + c where g = phi^T phi x and
+    c = [-phi^T y; phi^T y] + rho * (1 - w_z), computed with matrix-vector
+    products and never forming the 2n x 2n block quadratic.
     """
     n = p.phi.n
     z = np.asarray(z, dtype=float)
@@ -202,9 +225,8 @@ def bcqp_gradient(z: np.ndarray, p: SparseProblem, w_z: np.ndarray) -> np.ndarra
         raise ValueError(
             f"z and w_z must have length {2 * n}, got {z.size} and {w_z.size}"
         )
-    x = z[:n] - z[n:]
-    g = p.phi.phi.T @ (p.phi.phi @ x - p.y)
-    return np.concatenate([g, -g]) + p.rho * (1.0 - w_z)
+    phi = p.phi.phi
+    return _bcqp_grad(phi, phi @ _unsplit(z), _bcqp_linear_term(p, w_z))
 
 
 def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
@@ -240,15 +262,14 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     if np.any(z < 0):
         raise ValueError("z0 must be elementwise nonnegative")
 
-    pty = phi.T @ p.y
-    c = np.concatenate([-pty, pty]) + p.rho * (1.0 - w_z)
+    c = _bcqp_linear_term(p, w_z)
     if alpha0 is None:
         lam = _power_lam_max(phi)
         alpha0 = 1.0 / lam if lam > 0 else 1.0
     alpha = float(np.clip(alpha0, opts.alpha_min, opts.alpha_max))
 
-    fx = phi @ (z[:n] - z[n:])
-    grad = _assemble_grad(phi, fx, c)
+    fx = phi @ _unsplit(z)
+    grad = _bcqp_grad(phi, fx, c)
     gval = 0.5 * float(fx @ fx) + float(c @ z)
     if not np.isfinite(gval):
         raise NumericalFailure("non-finite objective at the start point", iteration=0)
@@ -263,8 +284,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
         gd = float(grad @ d)
         if gd >= 0.0:
             break  # descent exhausted at floating-point resolution
-        dx = d[:n] - d[n:]
-        fd = phi @ dx
+        fd = phi @ _unsplit(d)
         dbd = float(fd @ fd)
         beta = 1.0 if dbd <= 0.0 else min(1.0, -gd / dbd)
         predicted = -(beta * gd + 0.5 * beta * beta * dbd)
@@ -280,8 +300,8 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
             z = np.maximum(z + beta * d, 0.0)
         fx = fx + beta * fd
         if k % 64 == 0:
-            fx = phi @ (z[:n] - z[n:])  # refresh incremental product against drift
-        grad = _assemble_grad(phi, fx, c)
+            fx = phi @ _unsplit(z)  # refresh incremental product against drift
+        grad = _bcqp_grad(phi, fx, c)
         gnew = 0.5 * float(fx @ fx) + float(c @ z)
         inner = k
         if not np.isfinite(gnew) or not np.all(np.isfinite(z)):
@@ -295,15 +315,6 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     return z, inner
 
 
-def _assemble_grad(phi, fx, c):
-    g = phi.T @ fx
-    return np.concatenate([g, -g]) + c
-
-
-def _split_signal(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)])
-
-
 def _record(trace: SolverTrace, p: SparseProblem, x: np.ndarray, inner: int,
             outer_step: int, ground_truth) -> None:
     trace.outer_objectives.append(objective_exact(x, p))
@@ -315,56 +326,92 @@ def _record(trace: SolverTrace, p: SparseProblem, x: np.ndarray, inner: int,
     trace.outer_steps.append(outer_step)
 
 
+def _dc_loop(p: SparseProblem, state: np.ndarray, to_x, inner_solve,
+             opts: SolverOptions, ground_truth, tol_floor: float,
+             resolve_at_floor: bool = True) -> ReconResult:
+    """DC outer loop over the inner solver's variable `state`, with x = to_x(state).
+
+    Step t solves `inner_solve(w, state, tol) -> (state, inner iterations)`
+    with w the top-(k,1) subgradient at x, zero at x == 0 (it lies in the
+    subdifferential there), and tol tightening from inner_tol to tol_floor.
+    It stops once the state moves less than outer_tol; with
+    resolve_at_floor that counts only after a solve at tol_floor, so an
+    earlier such step re-solves at the floor.  Traces the start and every step.
+    """
+    x = to_x(state)
+    trace = SolverTrace()
+    _record(trace, p, x, 0, 0, ground_truth)
+    converged = False
+    at_floor = False
+    for t in range(1, opts.outer_max + 1):
+        w = top_k1_subgradient(x, p.k).w if x.any() else np.zeros(x.size)
+        tol_t = tol_floor if at_floor else max(opts.inner_tol * _TOL_SHRINK ** (t - 1),
+                                               tol_floor)
+        new_state, inner = inner_solve(w, state, tol_t)
+        delta = float(np.linalg.norm(new_state - state))
+        state = new_state
+        x = to_x(state)
+        _record(trace, p, x, inner, t, ground_truth)
+        if delta <= opts.outer_tol:
+            if at_floor or tol_t <= tol_floor or not resolve_at_floor:
+                converged = True
+                break
+            at_floor = True
+    return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=t)
+
+
+def _solve_prox(p: SparseProblem, pty: np.ndarray, s: np.ndarray, x: np.ndarray,
+                L: float, tol: float, inner_max: int, on_iterate=None):
+    """Proximal gradients for min 0.5 ||y - phi x||^2 - s^T x + rho ||x||_1, pty = phi^T y.
+
+    Each step's phi x serves both its objective and the next gradient, so
+    a step costs two matrix-vector products.  Stops when the relative
+    objective decrease falls to tol, or at inner_max.  Returns (x, inner
+    iterations, stopped on tol); `on_iterate(x)` is called after each step.
+    """
+    phi = p.phi.phi
+
+    def objective(x_, fx_):
+        r = p.y - fx_
+        return 0.5 * float(r @ r) + p.rho * float(np.abs(x_).sum()) - float(x_ @ s)
+
+    fx = phi @ x
+    f = objective(x, fx)
+    for j in range(1, inner_max + 1):
+        x = soft_threshold(x - (phi.T @ fx - pty - s) / L, p.rho / L)
+        fx = phi @ x
+        f_new = objective(x, fx)
+        if not np.isfinite(f_new) or not np.all(np.isfinite(x)):
+            raise NumericalFailure("non-finite iterate in proximal gradient", iteration=j)
+        if on_iterate is not None:
+            on_iterate(x)
+        done = abs(f - f_new) <= tol * max(abs(f_new), 1e-12)
+        f = f_new
+        if done:
+            break
+    return x, j, done
+
+
 def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
             opts: SolverOptions | None = None,
             ground_truth: np.ndarray | None = None) -> ReconResult:
     """Exact-sparsity reconstruction by DC programming with a gradient-projection inner solver.
 
-    Outer loop: take the top-(k,1) subgradient at the current x = u - v,
-    split it into the nonnegative pair (w_u, w_v), and solve the resulting
-    nonnegativity-constrained quadratic with solve_bcqp_gp warm-started at
-    the previous iterate.  Terminates when successive split iterates move
-    less than outer_tol in l2, or at outer_max.
-
-    A zero iterate contributes the zero subgradient (which lies in the
-    subdifferential at the origin), so the first step from a zero start is
-    the plain l1 problem rather than one biased toward an arbitrary
-    support.  Subproblem tolerances tighten geometrically from inner_tol
-    so the final subproblems are solved to the floating-point floor.
+    Runs _dc_loop over the split z = [u; v] of x = u - v, solving each
+    step's nonnegativity-constrained quadratic with solve_bcqp_gp warm-started
+    at the previous iterate.  Subproblems tighten to the floating-point
+    floor before the outer_tol stop is accepted.
     """
     opts = SolverOptions() if opts is None else opts
-    n = p.phi.n
-    x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
-    z = _split_signal(x0)
+    x0 = np.zeros(p.phi.n) if x0 is None else _check_signal(x0, p)
     lam = _power_lam_max(p.phi.phi)
     alpha0 = 1.0 / lam if lam > 0 else 1.0
 
-    trace = SolverTrace()
-    _record(trace, p, x0, 0, 0, ground_truth)
-    converged = False
-    outer = 0
-    at_floor = False
-    for t in range(1, opts.outer_max + 1):
-        outer = t
-        x_prev = z[:n] - z[n:]
-        w_x = top_k1_subgradient(x_prev, p.k).w if x_prev.any() else np.zeros(n)
-        w_z = np.concatenate([np.maximum(w_x, 0.0), np.maximum(-w_x, 0.0)])
-        tol_t = _TOL_FLOOR if at_floor else max(opts.inner_tol * _TOL_SHRINK ** (t - 1),
-                                                _TOL_FLOOR)
-        z_new, inner = solve_bcqp_gp(p, w_z, z, opts, alpha0=alpha0, tol=tol_t)
-        delta = float(np.linalg.norm(z_new - z))
-        z = z_new
-        _record(trace, p, z[:n] - z[n:], inner, t, ground_truth)
-        if delta <= opts.outer_tol:
-            # Accept convergence only from a floor-tightness subproblem
-            # solve; otherwise skip the rest of the tolerance schedule and
-            # re-solve tight.
-            if at_floor or tol_t <= _TOL_FLOOR:
-                converged = True
-                break
-            at_floor = True
-    return ReconResult(x_hat=z[:n] - z[n:], trace=trace, converged=converged,
-                       outer_iters=outer)
+    def inner_solve(w, z, tol):
+        return solve_bcqp_gp(p, split_pos_neg(w), z, opts, alpha0=alpha0, tol=tol)
+
+    return _dc_loop(p, split_pos_neg(x0), _unsplit, inner_solve, opts, ground_truth,
+                    _TOL_FLOOR)
 
 
 def dc_proximal(p: SparseProblem, x0: np.ndarray | None = None,
@@ -373,53 +420,22 @@ def dc_proximal(p: SparseProblem, x0: np.ndarray | None = None,
     """Same DC outer loop as dc_gpsr, inner subproblem solved by proximal gradients.
 
     The linearized subproblem keeps the l1 term and folds the subgradient
-    into the smooth part h(x) = 0.5 ||y - phi x||^2 - x^T s, iterating
-    x <- soft_threshold(x - grad_h(x) / L, rho / L) with L an inflated
-    power-method bound on the curvature of phi^T phi.
+    into the smooth part h(x) = 0.5 ||y - phi x||^2 - x^T s, s = rho * w;
+    _solve_prox steps at 1/L with L an inflated power-method bound on the
+    curvature of phi^T phi.  The outer_tol stop is accepted from any step.
     """
     opts = SolverOptions() if opts is None else opts
-    n = p.phi.n
+    x0 = np.zeros(p.phi.n) if x0 is None else _check_signal(x0, p)
     phi = p.phi.phi
-    x = np.zeros(n) if x0 is None else _check_signal(x0, p).copy()
     pty = phi.T @ p.y
-    lam = _power_lam_max(phi)
-    L = max(lam * opts.lipschitz_margin, 1e-12)
+    L = max(_power_lam_max(phi) * opts.lipschitz_margin, 1e-12)
 
-    def subobj(x_, s_):
-        r = p.y - phi @ x_
-        return 0.5 * float(r @ r) + p.rho * float(np.abs(x_).sum()) - float(x_ @ s_)
+    def inner_solve(w, x, tol):
+        x, inner, _ = _solve_prox(p, pty, p.rho * w, x, L, tol, opts.inner_max)
+        return x, inner
 
-    trace = SolverTrace()
-    _record(trace, p, x, 0, 0, ground_truth)
-    converged = False
-    outer = 0
-    for t in range(1, opts.outer_max + 1):
-        outer = t
-        w = top_k1_subgradient(x, p.k).w if x.any() else np.zeros(n)
-        s = p.rho * w
-        x_outer = x
-        tol_t = max(opts.inner_tol * _TOL_SHRINK ** (t - 1), 1e-15)
-        fcur = subobj(x, s)
-        inner = 0
-        for j in range(1, opts.inner_max + 1):
-            grad_h = phi.T @ (phi @ x) - pty - s
-            x_new = soft_threshold(x - grad_h / L, p.rho / L)
-            fixed_point = np.array_equal(x_new, x)
-            x = x_new
-            fnew = subobj(x, s)
-            inner = j
-            if not np.isfinite(fnew) or not np.all(np.isfinite(x)):
-                raise NumericalFailure("non-finite iterate in proximal inner loop", iteration=j)
-            done = fixed_point or abs(fcur - fnew) <= tol_t * max(abs(fnew), 1e-12)
-            fcur = fnew
-            if done:
-                break
-        delta = float(np.linalg.norm(x - x_outer))
-        _record(trace, p, x, inner, t, ground_truth)
-        if delta <= opts.outer_tol:
-            converged = True
-            break
-    return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=outer)
+    return _dc_loop(p, x0, lambda x: x, inner_solve, opts, ground_truth,
+                    _PROX_TOL_FLOOR, resolve_at_floor=False)
 
 
 def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
@@ -437,11 +453,11 @@ def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
     trace = SolverTrace()
     _record(trace, p, x0, 0, 0, ground_truth)
 
-    def cb(k, z, gval, alpha):
-        _record(trace, p, z[:n] - z[n:], 1, 1, ground_truth)
+    def record(k, z, gval, alpha):
+        _record(trace, p, _unsplit(z), 1, 1, ground_truth)
 
-    z, inner = solve_bcqp_gp(p, np.zeros(2 * n), _split_signal(x0), opts, on_iterate=cb)
-    return ReconResult(x_hat=z[:n] - z[n:], trace=trace,
+    z, inner = solve_bcqp_gp(p, np.zeros(2 * n), split_pos_neg(x0), opts, on_iterate=record)
+    return ReconResult(x_hat=_unsplit(z), trace=trace,
                        converged=inner < opts.inner_max, outer_iters=1)
 
 
@@ -450,32 +466,22 @@ def ista(p: SparseProblem, x0: np.ndarray | None = None,
          ground_truth: np.ndarray | None = None) -> ReconResult:
     """Iterative shrinkage-thresholding for the l1 problem.
 
-    Fixed step 1/L with L a power-method estimate of ||phi^T phi||; stops
-    when the relative decrease of the l1 objective falls to inner_tol.
+    One _solve_prox pass with a zero subgradient at fixed step 1/L, L a
+    power-method estimate of ||phi^T phi||, tracing every iteration.
     """
     opts = SolverOptions() if opts is None else opts
+    n = p.phi.n
+    x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
     phi = p.phi.phi
-    x = np.zeros(p.phi.n) if x0 is None else _check_signal(x0, p).copy()
-    pty = phi.T @ p.y
     lam = _power_lam_max(phi)
-    L = lam if lam > 0 else 1.0
-
     trace = SolverTrace()
-    _record(trace, p, x, 0, 0, ground_truth)
-    obj = objective_l1(x, p)
-    converged = False
-    for k in range(1, opts.inner_max + 1):
-        grad = phi.T @ (phi @ x) - pty
-        x = soft_threshold(x - grad / L, p.rho / L)
-        if not np.all(np.isfinite(x)):
-            raise NumericalFailure("non-finite iterate in ista", iteration=k)
+    _record(trace, p, x0, 0, 0, ground_truth)
+
+    def record(x):
         _record(trace, p, x, 1, 1, ground_truth)
-        obj_new = trace.l1_objectives[-1]
-        done = abs(obj - obj_new) <= opts.inner_tol * max(abs(obj_new), 1e-12)
-        obj = obj_new
-        if done:
-            converged = True
-            break
+
+    x, _, converged = _solve_prox(p, phi.T @ p.y, np.zeros(n), x0, lam if lam > 0 else 1.0,
+                                  opts.inner_tol, opts.inner_max, on_iterate=record)
     return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1)
 
 

@@ -19,14 +19,6 @@ class SubgradientVector:
     k: int
 
 
-@dataclass
-class SplitVector:
-    """Positive/negative decomposition; u - v reconstructs the original vector."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-
 def _check_k(x: np.ndarray, k: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not 1 <= k <= x.size:
@@ -80,19 +72,13 @@ def top_k1_subgradient(x: np.ndarray, k: int) -> SubgradientVector:
     return SubgradientVector(w=w, k=k)
 
 
-def split_pos_neg(x: np.ndarray) -> SplitVector:
-    """Elementwise positive and negative parts: u = max(x, 0), v = max(-x, 0)."""
+def split_pos_neg(x: np.ndarray) -> np.ndarray:
+    """Stacked positive and negative parts [u; v], u = max(x, 0), v = max(-x, 0).
+
+    u - v reconstructs x bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    return SplitVector(u=np.maximum(x, 0.0), v=np.maximum(-x, 0.0))
-
-
-def merge_split(s: SplitVector) -> np.ndarray:
-    """Recombine a split vector as u - v (the parts need not be complementary)."""
-    u = np.asarray(s.u, dtype=float)
-    v = np.asarray(s.v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"split halves have mismatched shapes {u.shape} and {v.shape}")
-    return u - v
+    return np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)])
 
 
 def project_nonneg(z: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,72 @@ def test_ista_matches_gpsr_objective():
         a = gpsr_baseline(p, opts=SolverOptions(inner_tol=1e-300, inner_max=60_000))
         b = ista(p, opts=SolverOptions(inner_tol=1e-15, inner_max=200_000))
         assert abs(objective_l1(a.x_hat, p) - objective_l1(b.x_hat, p)) <= 1e-6
+
+
+# ------------------------------------------------------------ shared engine
+
+class MatmulCounter(np.ndarray):
+    """ndarray whose 2-D views count the `@` products taken through them."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __matmul__(self, other):
+        if self.counter is not None and self.ndim == 2:
+            self.counter[0] += 1
+        return np.matmul(np.asarray(self), np.asarray(other))
+
+    def __rmatmul__(self, other):
+        if self.counter is not None and self.ndim == 2:
+            self.counter[0] += 1
+        return np.matmul(np.asarray(other), np.asarray(self))
+
+
+def counted_products(solver, p, opts):
+    """Run solver on a copy of p whose matrix counts products; return (result, count)."""
+    counter = [0]
+    q = copy.copy(p)
+    q.phi = copy.copy(p.phi)
+    q.phi.phi = p.phi.phi.view(MatmulCounter)
+    q.phi.phi.counter = counter
+    return solver(q, opts=opts), counter[0]
+
+
+def engine_problems():
+    """20 small instances, every other one with measurement noise."""
+    for seed in range(20):
+        p, _ = small_problem(500 + seed)
+        if seed % 2:
+            y = p.y + 0.01 * make_rng(derive_seed(501, seed)).standard_normal(p.y.size)
+            p = SparseProblem(y=y, phi=p.phi, k=p.k, rho=default_rho(p.phi, y))
+        yield p
+
+
+def test_gpsr_baseline_is_first_dc_gpsr_step():
+    for p in engine_problems():
+        a = gpsr_baseline(p)
+        b = dc_gpsr(p, opts=SolverOptions(outer_max=1))
+        assert np.array_equal(a.x_hat, b.x_hat)
+        assert a.inner_iters_total == b.inner_iters_total
+
+
+def test_ista_is_first_dc_proximal_step():
+    for p in engine_problems():
+        a = ista(p)
+        b = dc_proximal(p, opts=SolverOptions(outer_max=1, lipschitz_margin=1.0))
+        assert np.array_equal(a.x_hat, b.x_hat)
+        assert a.inner_iters_total == b.inner_iters_total
+        assert a.trace.l1_objectives[-1] == b.trace.l1_objectives[-1]
+
+
+@pytest.mark.parametrize("solver, per_iteration", [(dc_proximal, 2), (ista, 4)])
+def test_proximal_products_per_inner_iteration(solver, per_iteration):
+    # ista's count includes the two products of tracing each iterate.
+    p, _ = small_problem(19, m=16, n=32, k=4)
+    runs = [counted_products(solver, p, SolverOptions(outer_max=1, inner_max=cap))
+            for cap in (5, 15)]
+    assert [r.inner_iters_total for r, _ in runs] == [5, 15]
+    assert runs[1][1] - runs[0][1] == 10 * per_iteration
 
 
 # ---------------------------------------------------------------------- omp

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dcsparse.seeding import make_rng
-from dcsparse.sparsity import (SplitVector, merge_split, project_nonneg,
-                               soft_threshold, sparsity_gap, split_pos_neg,
-                               top_k1_norm, top_k1_subgradient)
+from dcsparse.sparsity import (project_nonneg, soft_threshold, sparsity_gap,
+                               split_pos_neg, top_k1_norm, top_k1_subgradient)
 
 
 def test_top_k1_norm_basic():
@@ -110,45 +109,28 @@ def test_subgradient_brute_force_optimality():
 
 def test_split_pos_neg_basic():
     s = split_pos_neg(np.array([1.0, -2.0, 0.0]))
-    assert np.array_equal(s.u, np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(s.v, np.array([0.0, 2.0, 0.0]))
+    assert np.array_equal(s, np.array([1.0, 0.0, 0.0, 0.0, 2.0, 0.0]))
 
 
 def test_split_pos_neg_nonnegative_input():
     x = np.array([0.5, 2.0, 0.0])
     s = split_pos_neg(x)
-    assert np.array_equal(s.u, x)
-    assert np.array_equal(s.v, np.zeros(3))
+    assert np.array_equal(s[:3], x)
+    assert np.array_equal(s[3:], np.zeros(3))
 
 
 def test_split_merge_round_trip_bit_exact():
     rng = make_rng(5)
     x = rng.standard_normal(40)
-    assert np.array_equal(merge_split(split_pos_neg(x)), x)
+    s = split_pos_neg(x)
+    assert np.array_equal(s[:40] - s[40:], x)
 
 
 def test_split_complementarity():
     rng = make_rng(6)
     s = split_pos_neg(rng.standard_normal(25))
-    assert np.all(s.u * s.v == 0.0)
-
-
-def test_merge_split_basic_and_cancellation():
-    assert np.array_equal(merge_split(SplitVector(np.array([1.0, 0.0]),
-                                                  np.array([0.0, 2.0]))),
-                          np.array([1.0, -2.0]))
-    v = np.array([0.7, 0.1])
-    assert np.array_equal(merge_split(SplitVector(v, v)), np.zeros(2))
-
-
-def test_merge_split_non_complementary():
-    out = merge_split(SplitVector(np.array([3.0, 1.0]), np.array([1.0, 1.0])))
-    assert np.array_equal(out, np.array([2.0, 0.0]))
-
-
-def test_merge_split_length_mismatch():
-    with pytest.raises(ValueError):
-        merge_split(SplitVector(np.ones(2), np.ones(3)))
+    assert np.all(s >= 0.0)
+    assert np.all(s[:25] * s[25:] == 0.0)
 
 
 def test_project_nonneg_basic():
