@@ -122,14 +122,15 @@ def _cmd_solve(args) -> int:
         _, truth = load_vector_csv(args.truth)
         truth = truth.real.astype(float)
     result = SOLVER_REGISTRY[args.solver](problem, SolverOptions(), truth)
+    residual = problem.y - phi.phi @ result.x_hat
     metrics = {
         "solver": args.solver,
         "rho": rho,
         "converged": result.converged,
         "outer_iters": result.outer_iters,
         "inner_iters": result.inner_iters_total,
-        "objective": objective_exact(result.x_hat, problem),
-        "objective_l1": objective_l1(result.x_hat, problem),
+        "objective": objective_exact(result.x_hat, problem, residual=residual),
+        "objective_l1": objective_l1(result.x_hat, problem, residual=residual),
     }
     if truth is not None:
         metrics["nse"] = normalized_sq_error(truth, result.x_hat)

@@ -7,9 +7,35 @@ import numpy as np
 from .seeding import as_generator
 
 
+# Byte boundary the operator's storage starts on.  With AVX-512 OpenBLAS
+# kernels a 128 x 512 matrix-vector pair took 18.5 us on a 64-byte-aligned
+# matrix and 26-29 us at every other offset, with bit-identical results;
+# malloc only guarantees 16 bytes.
+_ALIGN = 64
+
+
+def _cache_aligned(a: np.ndarray) -> np.ndarray:
+    """a itself when it is not C-contiguous or already aligned, else an aligned copy.
+
+    Other memory orders are left alone: a C-ordered copy would change the
+    order in which matrix-vector products sum, and so their round-off.
+    """
+    if not a.flags.c_contiguous or a.ctypes.data % _ALIGN == 0:
+        return a
+    buf = np.empty(a.nbytes + _ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % _ALIGN
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 @dataclass
 class MeasurementMatrix:
-    """Dense real measurement operator with its dimensions and draw seed."""
+    """Dense real measurement operator with its dimensions and draw seed.
+
+    A C-ordered phi is stored starting on a 64-byte boundary (copied if
+    needed), which speeds up the solvers' matrix-vector products.
+    """
 
     phi: np.ndarray
     m: int
@@ -24,6 +50,7 @@ class MeasurementMatrix:
             raise ValueError(
                 f"phi has shape {self.phi.shape}, expected ({self.m}, {self.n})"
             )
+        self.phi = _cache_aligned(self.phi)
 
 
 @dataclass

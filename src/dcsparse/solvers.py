@@ -158,18 +158,30 @@ class ReconResult:
         return int(sum(self.trace.inner_counts))
 
 
-def objective_exact(x: np.ndarray, p: SparseProblem) -> float:
-    """Least-squares data term plus the exact sparsity penalty rho * (||x||_1 - ||x||_{k,1})."""
+def objective_exact(x: np.ndarray, p: SparseProblem, *,
+                    residual: np.ndarray | None = None) -> float:
+    """Least-squares data term plus the exact sparsity penalty rho * (||x||_1 - ||x||_{k,1}).
+
+    `residual`, if given, must be y - phi @ x; it spares the product.
+    """
     x = _check_signal(x, p)
-    r = p.y - p.phi.phi @ x
+    r = _residual(x, p) if residual is None else residual
     return 0.5 * float(r @ r) + p.rho * sparsity_gap(x, p.k)
 
 
-def objective_l1(x: np.ndarray, p: SparseProblem) -> float:
-    """Least-squares data term plus the l1 penalty rho * ||x||_1."""
+def objective_l1(x: np.ndarray, p: SparseProblem, *,
+                 residual: np.ndarray | None = None) -> float:
+    """Least-squares data term plus the l1 penalty rho * ||x||_1.
+
+    `residual`, if given, must be y - phi @ x; it spares the product.
+    """
     x = _check_signal(x, p)
-    r = p.y - p.phi.phi @ x
+    r = _residual(x, p) if residual is None else residual
     return 0.5 * float(r @ r) + p.rho * float(np.abs(x).sum())
+
+
+def _residual(x: np.ndarray, p: SparseProblem) -> np.ndarray:
+    return p.y - p.phi.phi @ x
 
 
 def _check_signal(x, p: SparseProblem) -> np.ndarray:
@@ -199,12 +211,6 @@ def _bcqp_linear_term(p: SparseProblem, w_z: np.ndarray) -> np.ndarray:
     return np.concatenate([-pty, pty]) + p.rho * (1.0 - w_z)
 
 
-def _bcqp_grad(phi, fx, c):
-    """Split-form gradient [g; -g] + c with g = phi^T fx and fx = phi (u - v)."""
-    g = phi.T @ fx
-    return np.concatenate([g, -g]) + c
-
-
 def _unsplit(z: np.ndarray) -> np.ndarray:
     """x = u - v from the stacked split z = [u; v]."""
     n = z.size // 2
@@ -226,7 +232,8 @@ def bcqp_gradient(z: np.ndarray, p: SparseProblem, w_z: np.ndarray) -> np.ndarra
             f"z and w_z must have length {2 * n}, got {z.size} and {w_z.size}"
         )
     phi = p.phi.phi
-    return _bcqp_grad(phi, phi @ _unsplit(z), _bcqp_linear_term(p, w_z))
+    g = phi.T @ (phi @ _unsplit(z))
+    return np.concatenate([g, -g]) + _bcqp_linear_term(p, w_z)
 
 
 def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
@@ -248,6 +255,11 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     Returns (z, inner_iterations).  `on_iterate(k, z, G, alpha)` is called
     after every accepted step.  `tol` overrides opts.inner_tol (used by
     the DC outer loop to tighten subproblems as it converges).
+
+    Every iterate is a fresh array that is never written afterwards: the
+    z handed to on_iterate and the returned z stay valid after later
+    iterations and later calls, and share no memory with z0 or w_z.  The
+    working vectors of an iteration live in buffers allocated once per call.
     """
     opts = SolverOptions() if opts is None else opts
     tol = opts.inner_tol if tol is None else tol
@@ -263,28 +275,51 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
         raise ValueError("z0 must be elementwise nonnegative")
 
     c = _bcqp_linear_term(p, w_z)
+    c_u, c_v = c[:n], c[n:]
     if alpha0 is None:
         lam = _power_lam_max(phi)
         alpha0 = 1.0 / lam if lam > 0 else 1.0
-    alpha = float(np.clip(alpha0, opts.alpha_min, opts.alpha_max))
+    alpha_min, alpha_max = opts.alpha_min, opts.alpha_max
+    alpha = min(max(float(alpha0), alpha_min), alpha_max)
+
+    grad = np.empty(2 * n)
+    zh = np.empty(2 * n)
+    d = np.empty(2 * n)
+    scratch = np.empty(2 * n)
+    dx = np.empty(n)
+    grad_u, grad_v = grad[:n], grad[n:]
+    d_u, d_v = d[:n], d[n:]
+
+    def set_grad(fx):
+        # [g; -g] + c, bit for bit: c_v - g is c_v + (-g) in IEEE arithmetic.
+        g = phi.T @ fx
+        np.add(g, c_u, out=grad_u)
+        np.subtract(c_v, g, out=grad_v)
 
     fx = phi @ _unsplit(z)
-    grad = _bcqp_grad(phi, fx, c)
+    set_grad(fx)
     gval = 0.5 * float(fx @ fx) + float(c @ z)
-    if not np.isfinite(gval):
+    if not math.isfinite(gval):
         raise NumericalFailure("non-finite objective at the start point", iteration=0)
+    # From here on c and z are finite: a non-finite entry of either would
+    # have made c @ z, and so gval, non-finite.
 
     inner = 0
     stall = 0
     for k in range(1, opts.inner_max + 1):
-        zh = np.maximum(z - alpha * grad, 0.0)
-        d = zh - z
-        if not d.any():
-            break  # projected-gradient fixed point
+        np.multiply(grad, alpha, out=scratch)
+        np.subtract(z, scratch, out=scratch)
+        np.maximum(scratch, 0.0, out=zh)
+        np.subtract(zh, z, out=d)
+        # No separate test for d == 0 (a projected-gradient fixed point):
+        # the gradient is then finite, since an infinite or NaN entry of
+        # phi^T fx moves zh in one of the two halves (short of g + c
+        # overflowing), so gd == 0 and the descent test stops at that step.
         gd = float(grad @ d)
         if gd >= 0.0:
-            break  # descent exhausted at floating-point resolution
-        fd = phi @ _unsplit(d)
+            break  # fixed point, or descent exhausted at floating-point resolution
+        np.subtract(d_u, d_v, out=dx)
+        fd = phi @ dx
         dbd = float(fd @ fd)
         beta = 1.0 if dbd <= 0.0 else min(1.0, -gd / dbd)
         predicted = -(beta * gd + 0.5 * beta * beta * dbd)
@@ -295,30 +330,36 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
         else:
             stall = 0
         if beta == 1.0:
-            z = zh
+            z, zh = zh, np.empty(2 * n)
         else:
-            z = np.maximum(z + beta * d, 0.0)
-        fx = fx + beta * fd
+            np.multiply(d, beta, out=scratch)
+            np.add(z, scratch, out=scratch)
+            z = np.maximum(scratch, 0.0)
+            np.multiply(fd, beta, out=fd)
         if k % 64 == 0:
             fx = phi @ _unsplit(z)  # refresh incremental product against drift
-        grad = _bcqp_grad(phi, fx, c)
+        else:
+            np.add(fx, fd, out=fx)
+        set_grad(fx)
         gnew = 0.5 * float(fx @ fx) + float(c @ z)
         inner = k
-        if not np.isfinite(gnew) or not np.all(np.isfinite(z)):
+        # c is finite, so a non-finite z also makes c @ z and gnew non-finite.
+        if not math.isfinite(gnew):
             raise NumericalFailure("non-finite iterate in gradient projection", iteration=k)
         if on_iterate is not None:
             on_iterate(k, z, gnew, alpha)
         # BB step from the accepted move; beta cancels in the ratio.
-        alpha = float(np.clip(float(d @ d) / dbd, opts.alpha_min, opts.alpha_max)) \
-            if dbd > 0.0 else opts.alpha_max
+        alpha = min(max(float(d @ d) / dbd, alpha_min), alpha_max) \
+            if dbd > 0.0 else alpha_max
         gval = gnew
     return z, inner
 
 
 def _record(trace: SolverTrace, p: SparseProblem, x: np.ndarray, inner: int,
             outer_step: int, ground_truth) -> None:
-    trace.outer_objectives.append(objective_exact(x, p))
-    trace.l1_objectives.append(objective_l1(x, p))
+    r = _residual(x, p)
+    trace.outer_objectives.append(objective_exact(x, p, residual=r))
+    trace.l1_objectives.append(objective_l1(x, p, residual=r))
     trace.errors.append(
         None if ground_truth is None else normalized_sq_error(ground_truth, x)
     )

@@ -41,19 +41,24 @@ def _top_k_indices(magnitudes: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([selected, ties])
 
 
+def _top_k_sum(magnitudes: np.ndarray, k: int) -> float:
+    """Sum of the k largest values of a 1-D array."""
+    n = magnitudes.size
+    if k == n:
+        return float(magnitudes.sum())
+    return float(np.partition(magnitudes, n - k)[n - k:].sum())
+
+
 def top_k1_norm(x: np.ndarray, k: int) -> float:
     """Sum of the k largest absolute entries of x."""
     x = _check_k(x, k)
-    a = np.abs(x)
-    if k == x.size:
-        return float(a.sum())
-    return float(np.partition(a, x.size - k)[x.size - k:].sum())
+    return _top_k_sum(np.abs(x), k)
 
 
 def sparsity_gap(x: np.ndarray, k: int) -> float:
     """||x||_1 minus the top-(k,1) norm; zero exactly when x has at most k nonzeros."""
-    x = _check_k(x, k)
-    return float(np.abs(x).sum()) - top_k1_norm(x, k)
+    a = np.abs(_check_k(x, k))
+    return float(a.sum()) - _top_k_sum(a, k)
 
 
 def top_k1_subgradient(x: np.ndarray, k: int) -> SubgradientVector:

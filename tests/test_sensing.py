@@ -38,6 +38,19 @@ def test_measurement_matrix_validates_shape():
         MeasurementMatrix(phi=np.ones((2, 3)), m=3, n=2)
 
 
+def test_measurement_matrix_storage_is_cache_aligned():
+    raw = gaussian_matrix(5, 7, 2).phi.copy()
+    buf = np.empty(raw.size + 1)
+    for offset in (0, 1):
+        misplaced = buf[offset:offset + raw.size].reshape(5, 7)
+        misplaced[...] = raw
+        mm = MeasurementMatrix(misplaced, 5, 7)
+        assert mm.phi.ctypes.data % 64 == 0
+        assert np.array_equal(mm.phi, raw)
+    fortran = np.asfortranarray(raw)
+    assert MeasurementMatrix(fortran, 5, 7).phi is fortran
+
+
 def test_measure_identity():
     phi = MeasurementMatrix(np.eye(5), 5, 5)
     x = np.arange(5.0)

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+import dcsparse.solvers
 from dcsparse.metrics import normalized_sq_error
 from dcsparse.seeding import derive_seed, make_rng
 from dcsparse.sensing import MeasurementMatrix, gaussian_matrix
@@ -10,7 +11,7 @@ from dcsparse.solvers import (InstanceTooLarge, NumericalFailure, SolverOptions,
                               SparseProblem, _power_lam_max, bcqp_gradient,
                               brute_force_l0, dc_gpsr, dc_proximal, default_rho,
                               gpsr_baseline, ista, objective_exact, objective_l1,
-                              omp, solve_bcqp_gp)
+                              omp, solve_bcqp_gp, split_pos_neg)
 from dcsparse.sparsity import soft_threshold, top_k1_norm, top_k1_subgradient
 
 
@@ -387,14 +388,184 @@ def test_ista_is_first_dc_proximal_step():
         assert a.trace.l1_objectives[-1] == b.trace.l1_objectives[-1]
 
 
-@pytest.mark.parametrize("solver, per_iteration", [(dc_proximal, 2), (ista, 4)])
-def test_proximal_products_per_inner_iteration(solver, per_iteration):
-    # ista's count includes the two products of tracing each iterate.
+@pytest.mark.parametrize("solver, per_iteration",
+                         [(dc_proximal, 2), (ista, 3), (gpsr_baseline, 3)])
+def test_products_per_inner_iteration(solver, per_iteration):
+    # Each inner step takes two products.  ista and gpsr_baseline trace
+    # every iterate, and a trace point forms its residual once for both
+    # objectives, which is the third product.
     p, _ = small_problem(19, m=16, n=32, k=4)
     runs = [counted_products(solver, p, SolverOptions(outer_max=1, inner_max=cap))
             for cap in (5, 15)]
     assert [r.inner_iters_total for r, _ in runs] == [5, 15]
     assert runs[1][1] - runs[0][1] == 10 * per_iteration
+
+
+def reference_solve_bcqp_gp(p, w_z, z0, opts=None, alpha0=None, tol=None,
+                            on_iterate=None):
+    """The projected-gradient loop as first written, with fresh arrays each step.
+
+    Kept as the oracle for solve_bcqp_gp, which reuses buffers and must
+    produce the same iterates bit for bit.
+    """
+    def unsplit(z):
+        return z[:z.size // 2] - z[z.size // 2:]
+
+    def grad_of(fx):
+        g = phi.T @ fx
+        return np.concatenate([g, -g]) + c
+
+    opts = SolverOptions() if opts is None else opts
+    tol = opts.inner_tol if tol is None else tol
+    phi = p.phi.phi
+    w_z = np.asarray(w_z, dtype=float)
+    z = np.asarray(z0, dtype=float).copy()
+    pty = phi.T @ p.y
+    c = np.concatenate([-pty, pty]) + p.rho * (1.0 - w_z)
+    if alpha0 is None:
+        lam = _power_lam_max(phi)
+        alpha0 = 1.0 / lam if lam > 0 else 1.0
+    alpha = float(np.clip(alpha0, opts.alpha_min, opts.alpha_max))
+
+    fx = phi @ unsplit(z)
+    grad = grad_of(fx)
+    gval = 0.5 * float(fx @ fx) + float(c @ z)
+    if not np.isfinite(gval):
+        raise NumericalFailure("non-finite objective at the start point", iteration=0)
+
+    inner = 0
+    stall = 0
+    for k in range(1, opts.inner_max + 1):
+        zh = np.maximum(z - alpha * grad, 0.0)
+        d = zh - z
+        if not d.any():
+            break
+        gd = float(grad @ d)
+        if gd >= 0.0:
+            break
+        fd = phi @ unsplit(d)
+        dbd = float(fd @ fd)
+        beta = 1.0 if dbd <= 0.0 else min(1.0, -gd / dbd)
+        predicted = -(beta * gd + 0.5 * beta * beta * dbd)
+        if predicted <= tol * max(abs(gval), 1e-12):
+            stall += 1
+            if k == 1 or stall >= 3:
+                break
+        else:
+            stall = 0
+        if beta == 1.0:
+            z = zh
+        else:
+            z = np.maximum(z + beta * d, 0.0)
+        fx = fx + beta * fd
+        if k % 64 == 0:
+            fx = phi @ unsplit(z)
+        grad = grad_of(fx)
+        gnew = 0.5 * float(fx @ fx) + float(c @ z)
+        inner = k
+        if not np.isfinite(gnew) or not np.all(np.isfinite(z)):
+            raise NumericalFailure("non-finite iterate in gradient projection", iteration=k)
+        if on_iterate is not None:
+            on_iterate(k, z, gnew, alpha)
+        alpha = float(np.clip(float(d @ d) / dbd, opts.alpha_min, opts.alpha_max)) \
+            if dbd > 0.0 else opts.alpha_max
+        gval = gnew
+    return z, inner
+
+
+def assert_same_as_reference(p, w_z, z0, opts=None, **kw):
+    runs = []
+    for solve in (solve_bcqp_gp, reference_solve_bcqp_gp):
+        seen = []
+        z, inner = solve(p, w_z, z0, opts, on_iterate=lambda *a: seen.append(a), **kw)
+        runs.append((z, inner, seen))
+    (z, inner, seen), (z_ref, inner_ref, seen_ref) = runs
+    assert np.array_equal(z, z_ref)
+    assert inner == inner_ref
+    assert len(seen) == len(seen_ref) == inner
+    for (k, zk, g, a), (k_ref, zk_ref, g_ref, a_ref) in zip(seen, seen_ref):
+        assert (k, g, a) == (k_ref, g_ref, a_ref)
+        assert np.array_equal(zk, zk_ref)
+    return inner
+
+
+def test_bcqp_matches_reference_loop_on_engine_problems():
+    for p in engine_problems():
+        n = p.phi.n
+        assert assert_same_as_reference(p, np.zeros(2 * n), np.zeros(2 * n)) > 0
+
+
+def test_bcqp_matches_reference_loop_warm_start_with_subgradient():
+    p, x_true = small_problem(20, m=16, n=32, k=4)
+    w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
+    z0 = np.abs(make_rng(6).standard_normal(64))
+    assert assert_same_as_reference(p, w_z, z0) > 0
+
+
+def test_bcqp_matches_reference_loop_degenerate_inputs():
+    phi = gaussian_matrix(6, 10, 8)
+    p = SparseProblem(y=np.zeros(6), phi=phi, k=2, rho=0.5)
+    assert assert_same_as_reference(p, np.zeros(20), np.zeros(20)) == 0
+    y = np.zeros(8)
+    y[[1, 5, 6]] = [2.0, -3.0, 0.4]
+    p = SparseProblem(y=y, phi=MeasurementMatrix(np.eye(8), 8, 8), k=3, rho=0.05)
+    assert assert_same_as_reference(p, np.zeros(16), np.zeros(16)) > 0
+
+
+def test_bcqp_matches_reference_loop_across_product_refresh():
+    # Runs to inner_max, crossing the periodic recomputation of phi x.
+    p, _ = small_problem(21, m=16, n=32, k=4)
+    opts = SolverOptions(inner_tol=1e-300, inner_max=300)
+    assert assert_same_as_reference(p, np.zeros(64), np.zeros(64), opts) == 300
+
+
+def test_bcqp_iterates_are_never_overwritten():
+    p, x_true = small_problem(22, m=16, n=32, k=4)
+    w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
+    z0 = np.abs(make_rng(7).standard_normal(64))
+    opts = SolverOptions(inner_tol=1e-300, inner_max=150)
+    kept, snapshots = [], []
+
+    def keep(k, z, gval, alpha):
+        kept.append(z)
+        snapshots.append(z.copy())
+
+    z, inner = solve_bcqp_gp(p, w_z, z0, opts, on_iterate=keep)
+    assert inner == len(kept) == 150
+    assert z is kept[-1]
+    solve_bcqp_gp(p, w_z, z0, opts, on_iterate=lambda *a: None)  # a later call
+    for i, zk in enumerate(kept):
+        assert np.array_equal(zk, snapshots[i])
+        assert not np.shares_memory(zk, z0) and not np.shares_memory(zk, w_z)
+        if i:
+            assert not np.shares_memory(zk, kept[i - 1])
+    # A start that is already optimal is returned as a copy.
+    q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
+    z0 = np.zeros(64)
+    z, inner = solve_bcqp_gp(q, np.zeros(64), z0)
+    assert inner == 0 and not np.shares_memory(z, z0)
+
+
+def test_traced_benchmark_spans_are_called(monkeypatch):
+    # bench/run.py --trace 1 wraps these dcsparse.solvers names and fails
+    # when one of them is never called during a solve.
+    names = ("solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
+             "normalized_sq_error")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(dcsparse.solvers, name,
+                            counting(name, getattr(dcsparse.solvers, name)))
+    p, x_true = small_problem(23, m=16, n=32, k=4)
+    dcsparse.solvers.dc_gpsr(p, ground_truth=x_true)
+    dcsparse.solvers.gpsr_baseline(p, ground_truth=x_true)
+    assert all(calls.values()), calls
 
 
 # ---------------------------------------------------------------------- omp
