@@ -14,10 +14,10 @@ from .channel import (ChannelSample, PathSpec, concat_real, dft_matrix,
 from .harness import (ConfigError, ExperimentConfig, ResultRecord,
                       SOLVER_REGISTRY, cell_seed, load_config, parse_config,
                       run_cell, run_noiseless_study, run_snr_sweep)
-from .metrics import nmse, normalized_sq_error
+from .metrics import normalized_sq_error
 from .seeding import as_generator, derive_seed, make_rng
-from .sensing import (MeasurementMatrix, NoisySystem, add_noise,
-                      gaussian_matrix, measure, snr_to_sigma)
+from .sensing import (MeasurementMatrix, add_noise, gaussian_matrix, measure,
+                      snr_to_sigma)
 from .solvers import (InstanceTooLarge, NumericalFailure, ReconResult,
                       SolverOptions, SolverTrace, SparseProblem,
                       bcqp_gradient, brute_force_l0, dc_gpsr, dc_proximal,
@@ -34,10 +34,10 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "ResultRecord", "SOLVER_REGISTRY",
     "cell_seed", "load_config", "parse_config", "run_cell",
     "run_noiseless_study", "run_snr_sweep",
-    "nmse", "normalized_sq_error",
+    "normalized_sq_error",
     "as_generator", "derive_seed", "make_rng",
-    "MeasurementMatrix", "NoisySystem", "add_noise", "gaussian_matrix",
-    "measure", "snr_to_sigma",
+    "MeasurementMatrix", "add_noise", "gaussian_matrix", "measure",
+    "snr_to_sigma",
     "InstanceTooLarge", "NumericalFailure", "ReconResult", "SolverOptions",
     "SolverTrace", "SparseProblem", "bcqp_gradient", "brute_force_l0",
     "dc_gpsr", "dc_proximal", "default_rho", "gpsr_baseline", "ista",

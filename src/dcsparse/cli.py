@@ -15,6 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .channel import sample_sparse_channel
 from .fileio import load_matrix, load_vector_csv, save_channel, save_matrix, \
     save_result, save_trace_csv, save_vector_csv
@@ -77,18 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_real_vector(path) -> np.ndarray:
+    """A vector CSV whose values must be real: the solvers work on real vectors."""
+    _, values = load_vector_csv(path)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{path} holds a complex vector; the solvers take real "
+                         "vectors, such as the stacked [real; imag] form of x_true.csv")
+    return values
+
+
 def _load_problem_files(phi_path, y_path):
     phi_path, y_path = Path(phi_path), Path(y_path)
     for path in (phi_path, y_path):
         if not path.exists():
             raise ValueError(f"file not found: {path}")
     phi = load_matrix(phi_path)
-    _, y = load_vector_csv(y_path)
+    y = _load_real_vector(y_path)
     if y.size != phi.m:
         raise ValueError(
             f"y has length {y.size} but phi has {phi.m} rows ({phi.m}x{phi.n} matrix)"
         )
-    return phi, y.real.astype(float)
+    return phi, y
 
 
 def _print_metrics(metrics: dict, fmt: str) -> None:
@@ -117,10 +128,7 @@ def _cmd_solve(args) -> int:
     phi, y = _load_problem_files(args.phi, args.y)
     rho = default_rho(phi, y) if args.rho == "auto" else float(args.rho)
     problem = SparseProblem(y=y, phi=phi, k=args.k, rho=rho)
-    truth = None
-    if args.truth:
-        _, truth = load_vector_csv(args.truth)
-        truth = truth.real.astype(float)
+    truth = _load_real_vector(args.truth) if args.truth else None
     result = SOLVER_REGISTRY[args.solver](problem, SolverOptions(), truth)
     residual = problem.y - phi.phi @ result.x_hat
     metrics = {
@@ -135,7 +143,7 @@ def _cmd_solve(args) -> int:
     if truth is not None:
         metrics["nse"] = normalized_sq_error(truth, result.x_hat)
     if args.out:
-        save_result(args.out, f"solve_{args.solver}", result, metrics)
+        save_result(args.out, f"solve_{args.solver}", result.x_hat, metrics)
         save_trace_csv(Path(args.out) / f"trace_{args.solver}.csv", result.trace)
     _print_metrics(metrics, args.format)
     return 0
@@ -157,15 +165,16 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle(args) -> int:
     phi, y = _load_problem_files(args.phi, args.y)
+    truth = _load_real_vector(args.truth) if args.truth else None
     x = brute_force_l0(y, phi, args.k)
+    residual = y - phi.phi @ x
     metrics = {
         "k": args.k,
         "support": [int(i) for i in x.nonzero()[0]],
-        "residual_sq": float((y - phi.phi @ x) @ (y - phi.phi @ x)),
+        "residual_sq": float(residual @ residual),
     }
-    if args.truth:
-        _, truth = load_vector_csv(args.truth)
-        metrics["nse"] = normalized_sq_error(truth.real.astype(float), x)
+    if truth is not None:
+        metrics["nse"] = normalized_sq_error(truth, x)
     _print_metrics(metrics, args.format)
     return 0
 

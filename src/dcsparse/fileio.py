@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelSample, split_complex
+from .channel import ChannelSample
 from .sensing import MeasurementMatrix
-from .solvers import ReconResult, SolverTrace
+from .solvers import SolverTrace
 
 
 def _fmt(v) -> str:
@@ -56,16 +56,6 @@ def save_channel(sample: ChannelSample, out_dir, stem: str = "channel") -> None:
     meta = {"n": int(sample.h_angular.size), "sparsity": int(sample.sparsity),
             "seed": sample.seed}
     (out_dir / f"{stem}.json").write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def load_channel(out_dir, stem: str = "channel") -> ChannelSample:
-    out_dir = Path(out_dir)
-    meta = json.loads((out_dir / f"{stem}.json").read_text())
-    _, h_spatial = load_vector_csv(out_dir / f"{stem}_h_spatial.csv")
-    _, h_angular = load_vector_csv(out_dir / f"{stem}_h_angular.csv")
-    _, x_real = load_vector_csv(out_dir / f"{stem}_x_real.csv")
-    return ChannelSample(h_spatial=h_spatial, h_angular=h_angular, x_real=x_real,
-                         sparsity=meta["sparsity"], seed=meta["seed"])
 
 
 def save_matrix(path, matrix: MeasurementMatrix) -> None:
@@ -145,12 +135,9 @@ def save_summary_json(path, rows) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def save_result(out_dir, stem: str, result: ReconResult, metrics: dict | None = None) -> None:
-    """x_hat as a one-column CSV plus a JSON summary of convergence and metrics."""
+def save_result(out_dir, stem: str, x_hat: np.ndarray, metrics: dict) -> None:
+    """x_hat as a one-column CSV plus `metrics` as a JSON summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_vector_csv(out_dir / f"{stem}_x_hat.csv", "x_hat", result.x_hat)
-    summary = {"converged": result.converged, "outer_iters": result.outer_iters,
-               "inner_iters": result.inner_iters_total}
-    summary.update(metrics or {})
-    (out_dir / f"{stem}.json").write_text(json.dumps(summary, indent=2) + "\n")
+    save_vector_csv(out_dir / f"{stem}_x_hat.csv", "x_hat", x_hat)
+    (out_dir / f"{stem}.json").write_text(json.dumps(metrics, indent=2) + "\n")

@@ -180,7 +180,7 @@ def run_cell(cfg: ExperimentConfig, sample_index: int, snr_db: float | None):
     sigma = 0.0
     if snr_db is not None:
         sigma = snr_to_sigma(sample.x_real, cfg.m_measurements, snr_db)
-        y = add_noise(y, sigma, derive_seed(seed, 2), snr_db=snr_db).y
+        y = add_noise(y, sigma, derive_seed(seed, 2))
     rho = default_rho(phi, y, sigma) if cfg.rho_rule == "auto" else float(cfg.rho_rule)
     problem = SparseProblem(y=y, phi=phi, k=cfg.k_real, rho=rho)
 

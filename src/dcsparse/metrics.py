@@ -14,11 +14,3 @@ def normalized_sq_error(x_true: np.ndarray, x_hat: np.ndarray) -> float:
         raise ValueError("ground truth has zero norm; normalized error is undefined")
     diff = x_true - x_hat
     return float(diff @ diff) / energy
-
-
-def nmse(pairs) -> float:
-    """Mean of normalized squared errors over (x_true, x_hat) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("nmse needs at least one (x_true, x_hat) pair")
-    return sum(normalized_sq_error(t, h) for t, h in pairs) / len(pairs)

@@ -53,19 +53,6 @@ class MeasurementMatrix:
         self.phi = _cache_aligned(self.phi)
 
 
-@dataclass
-class NoisySystem:
-    """Measurements after noise injection; sigma == 0 means noiseless."""
-
-    y: np.ndarray
-    sigma: float
-    snr_db: float | None = None
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
 def gaussian_matrix(m: int, n: int, rng) -> MeasurementMatrix:
     """Draw an m x n matrix with i.i.d. standard normal entries."""
     if m < 1 or n < 1:
@@ -95,12 +82,12 @@ def snr_to_sigma(x: np.ndarray, m: int, snr_db: float) -> float:
     return float(np.sqrt(energy / (m * 10.0 ** (snr_db / 10.0))))
 
 
-def add_noise(y: np.ndarray, sigma: float, rng, snr_db: float | None = None) -> NoisySystem:
-    """Add i.i.d. N(0, sigma^2) noise to measurements; sigma == 0 passes y through."""
+def add_noise(y: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """y plus i.i.d. N(0, sigma^2) noise, as a new array; sigma == 0 returns a copy of y."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     y = np.asarray(y, dtype=float)
     if sigma == 0:
-        return NoisySystem(y=y.copy(), sigma=0.0, snr_db=snr_db)
+        return y.copy()
     gen, _ = as_generator(rng)
-    return NoisySystem(y=y + sigma * gen.standard_normal(y.size), sigma=float(sigma), snr_db=snr_db)
+    return y + sigma * gen.standard_normal(y.size)

@@ -42,6 +42,15 @@ _TOL_SHRINK = 1e-2
 _TOL_FLOOR = 1e-26
 _PROX_TOL_FLOOR = 1e-15
 
+# The DC loop stops once a step moves its state by at most _OUTER_TOL in 2-norm.
+_OUTER_TOL = 1e-14
+# Barzilai-Borwein steps of solve_bcqp_gp are clamped to [_ALPHA_MIN, _ALPHA_MAX].
+_ALPHA_MIN = 1e-30
+_ALPHA_MAX = 1e30
+# dc_proximal steps at 1/L with L = _LIPSCHITZ_MARGIN times the power-method
+# estimate of the curvature of phi^T phi, which can only undershoot it.
+_LIPSCHITZ_MARGIN = 1.1
+
 
 class NumericalFailure(RuntimeError):
     """Non-finite values encountered inside an iterative solver."""
@@ -98,33 +107,22 @@ def default_rho(phi: MeasurementMatrix, y: np.ndarray, sigma: float = 0.0) -> fl
 
 @dataclass
 class SolverOptions:
-    """Tolerances, iteration caps, and step-size safeguards.
+    """Iteration caps and the inner tolerance.
 
-    outer_tol stops the DC loop on ||z_t - z_{t-1}||_2; inner_tol is the
-    relative objective-decrease stop of the inner loops.  alpha_min and
-    alpha_max clamp Barzilai-Borwein steps.  lipschitz_margin inflates the
-    power-method curvature estimate in dc_proximal only.
+    outer_max caps the DC outer steps; inner_tol is the relative
+    objective-decrease stop of the inner loops and inner_max caps their
+    iterations.
     """
 
-    outer_tol: float = 1e-14
     outer_max: int = 50
     inner_tol: float = 1e-8
     inner_max: int = 4000
-    alpha_min: float = 1e-30
-    alpha_max: float = 1e30
-    lipschitz_margin: float = 1.1
 
     def __post_init__(self):
-        if not 0 < self.alpha_min < self.alpha_max:
-            raise ValueError(
-                f"need 0 < alpha_min < alpha_max, got {self.alpha_min}, {self.alpha_max}"
-            )
-        if self.outer_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        if not self.inner_tol > 0:
+            raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
         if self.outer_max < 1 or self.inner_max < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.lipschitz_margin < 1.0:
-            raise ValueError(f"lipschitz_margin must be >= 1, got {self.lipschitz_margin}")
 
 
 @dataclass
@@ -191,12 +189,12 @@ def _check_signal(x, p: SparseProblem) -> np.ndarray:
     return x
 
 
-def _power_lam_max(mat: np.ndarray, iters: int = 100) -> float:
-    """Power-method estimate of the largest eigenvalue of mat^T mat."""
+def _power_lam_max(mat: np.ndarray) -> float:
+    """Power-method estimate (100 iterations) of the largest eigenvalue of mat^T mat."""
     n = mat.shape[1]
     v = np.ones(n) / math.sqrt(n)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(100):
         w = mat.T @ (mat @ v)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
@@ -279,8 +277,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     if alpha0 is None:
         lam = _power_lam_max(phi)
         alpha0 = 1.0 / lam if lam > 0 else 1.0
-    alpha_min, alpha_max = opts.alpha_min, opts.alpha_max
-    alpha = min(max(float(alpha0), alpha_min), alpha_max)
+    alpha = min(max(float(alpha0), _ALPHA_MIN), _ALPHA_MAX)
 
     grad = np.empty(2 * n)
     zh = np.empty(2 * n)
@@ -349,8 +346,8 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
         if on_iterate is not None:
             on_iterate(k, z, gnew, alpha)
         # BB step from the accepted move; beta cancels in the ratio.
-        alpha = min(max(float(d @ d) / dbd, alpha_min), alpha_max) \
-            if dbd > 0.0 else alpha_max
+        alpha = min(max(float(d @ d) / dbd, _ALPHA_MIN), _ALPHA_MAX) \
+            if dbd > 0.0 else _ALPHA_MAX
         gval = gnew
     return z, inner
 
@@ -375,7 +372,7 @@ def _dc_loop(p: SparseProblem, state: np.ndarray, to_x, inner_solve,
     Step t solves `inner_solve(w, state, tol) -> (state, inner iterations)`
     with w the top-(k,1) subgradient at x, zero at x == 0 (it lies in the
     subdifferential there), and tol tightening from inner_tol to tol_floor.
-    It stops once the state moves less than outer_tol; with
+    It stops once a step moves the state by at most _OUTER_TOL; with
     resolve_at_floor that counts only after a solve at tol_floor, so an
     earlier such step re-solves at the floor.  Traces the start and every step.
     """
@@ -393,7 +390,7 @@ def _dc_loop(p: SparseProblem, state: np.ndarray, to_x, inner_solve,
         state = new_state
         x = to_x(state)
         _record(trace, p, x, inner, t, ground_truth)
-        if delta <= opts.outer_tol:
+        if delta <= _OUTER_TOL:
             if at_floor or tol_t <= tol_floor or not resolve_at_floor:
                 converged = True
                 break
@@ -441,7 +438,7 @@ def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
     Runs _dc_loop over the split z = [u; v] of x = u - v, solving each
     step's nonnegativity-constrained quadratic with solve_bcqp_gp warm-started
     at the previous iterate.  Subproblems tighten to the floating-point
-    floor before the outer_tol stop is accepted.
+    floor before the _OUTER_TOL stop is accepted.
     """
     opts = SolverOptions() if opts is None else opts
     x0 = np.zeros(p.phi.n) if x0 is None else _check_signal(x0, p)
@@ -463,13 +460,13 @@ def dc_proximal(p: SparseProblem, x0: np.ndarray | None = None,
     The linearized subproblem keeps the l1 term and folds the subgradient
     into the smooth part h(x) = 0.5 ||y - phi x||^2 - x^T s, s = rho * w;
     _solve_prox steps at 1/L with L an inflated power-method bound on the
-    curvature of phi^T phi.  The outer_tol stop is accepted from any step.
+    curvature of phi^T phi.  The _OUTER_TOL stop is accepted from any step.
     """
     opts = SolverOptions() if opts is None else opts
     x0 = np.zeros(p.phi.n) if x0 is None else _check_signal(x0, p)
     phi = p.phi.phi
     pty = phi.T @ p.y
-    L = max(_power_lam_max(phi) * opts.lipschitz_margin, 1e-12)
+    L = max(_power_lam_max(phi) * _LIPSCHITZ_MARGIN, 1e-12)
 
     def inner_solve(w, x, tol):
         x, inner, _ = _solve_prox(p, pty, p.rho * w, x, L, tol, opts.inner_max)

@@ -17,6 +17,29 @@ def criterion_report():
     return _report
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Replace module-level functions by call-counting wrappers.
+
+    `count_calls(module, names)` returns a name -> calls dict that fills as
+    the module's code calls those names.  bench/run.py --trace 1 wraps
+    functions the same way, where the calling module binds them, and
+    fails when one of its expected spans is never called.
+    """
+    def wrap(calls, name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def _count(module, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(module, name, wrap(calls, name, getattr(module, name)))
+        return calls
+    return _count
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _criterion_lines:
         terminalreporter.section("acceptance criteria")

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import dcsparse.cli
+import dcsparse.harness
 from dcsparse.cli import cli_main
 from dcsparse.fileio import load_vector_csv, save_vector_csv
 
@@ -66,6 +68,40 @@ def test_solve_numerical_failure_exit_2(instance_dir, capsys):
                      "--rho", "0.5"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, complex_arg", [
+    ("solve", "--y"), ("solve", "--truth"), ("oracle", "--truth")])
+def test_complex_vector_rejected(instance_dir, capsys, command, complex_arg):
+    files = {"--y": "y.csv", "--truth": "x_true.csv"}
+    name, values = load_vector_csv(instance_dir / files[complex_arg])
+    save_vector_csv(instance_dir / "complex.csv", name, values + 1j)
+    paths = {arg: str(instance_dir / f) for arg, f in files.items()}
+    paths[complex_arg] = str(instance_dir / "complex.csv")
+    code = cli_main([command, "--phi", str(instance_dir / "phi.csv"), "--k", "4",
+                     "--y", paths["--y"], "--truth", paths["--truth"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "complex.csv" in err and "complex vector" in err
+
+
+def test_traced_benchmark_spans_are_called(tmp_path, capsys, count_calls):
+    # The spans that bench/run.py --trace 1 requires on its cli_roundtrip
+    # workload: generate, then solve --solver omp --truth --out.
+    cli_calls = count_calls(dcsparse.cli, (
+        "cli_main", "sample_sparse_channel", "gaussian_matrix", "measure", "save_channel",
+        "save_matrix", "save_vector_csv", "save_result", "save_trace_csv", "load_matrix",
+        "load_vector_csv", "default_rho", "objective_exact", "objective_l1",
+        "normalized_sq_error"))
+    harness_calls = count_calls(dcsparse.harness, ("omp",))
+    assert dcsparse.cli.cli_main(["generate", "--n", "16", "--sparsity", "2", "--m", "12",
+                                  "--seed", "11", "--out", str(tmp_path)]) == 0
+    assert dcsparse.cli.cli_main(["solve", "--phi", str(tmp_path / "phi.csv"),
+                                  "--y", str(tmp_path / "y.csv"), "--k", "4",
+                                  "--solver", "omp", "--truth", str(tmp_path / "x_true.csv"),
+                                  "--out", str(tmp_path / "run"), "--format", "json"]) == 0
+    assert all(cli_calls.values()), cli_calls
+    assert all(harness_calls.values()), harness_calls
 
 
 def test_oracle_subcommand(instance_dir, capsys):

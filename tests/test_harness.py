@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dcsparse.harness
 from dcsparse.fileio import load_vector_csv
 from dcsparse.harness import (ConfigError, ExperimentConfig, cell_seed,
                               parse_config, run_cell, run_noiseless_study,
@@ -99,8 +100,24 @@ def test_snr_sweep_cardinality():
     records, summary = run_snr_sweep(cfg)
     assert len(records) == 20  # 5 snr x 2 samples x 2 solvers
     assert len(summary) == 10  # 5 snr x 2 solvers
-    for _, _, value in summary:
+    for name, snr_db, value in summary:
+        nses = [r.nse for r in records if r.solver_name == name and r.snr_db == snr_db]
+        assert len(nses) == 2
+        assert value == sum(nses) / 2
         assert np.isfinite(value)
+
+
+def test_traced_benchmark_spans_are_called(count_calls):
+    # The dcsparse.harness spans that bench/run.py --trace 1 requires on
+    # its snr_sweep workload (a superset of the noiseless workload's).
+    calls = count_calls(dcsparse.harness, (
+        "run_snr_sweep", "sample_sparse_channel", "gaussian_matrix", "measure",
+        "add_noise", "default_rho", "normalized_sq_error", "dc_gpsr", "gpsr_baseline",
+        "ista", "omp"))
+    cfg = tiny_config(snr_grid_db=(15.0,), num_samples=1,
+                      solvers=("dc_gpsr", "gpsr", "ista", "omp"))
+    dcsparse.harness.run_snr_sweep(cfg)
+    assert all(calls.values()), calls
 
 
 def test_snr_sweep_requires_grid():

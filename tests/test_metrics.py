@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcsparse.metrics import nmse, normalized_sq_error
+from dcsparse.metrics import normalized_sq_error
 from dcsparse.seeding import make_rng
 
 
@@ -38,33 +38,3 @@ def test_scale_equivariance():
     for c in (0.5, 2.0, -3.0):
         scaled = normalized_sq_error(x, x + c * (xh - x))
         assert scaled == pytest.approx(c * c * base, rel=1e-12)
-
-
-def test_nmse_all_perfect():
-    x = np.ones(4)
-    assert nmse([(x, x), (x, x)]) == 0.0
-
-
-def test_nmse_single_pair():
-    rng = make_rng(1)
-    x, xh = rng.standard_normal(6), rng.standard_normal(6)
-    assert nmse([(x, xh)]) == pytest.approx(normalized_sq_error(x, xh))
-
-
-def test_nmse_is_arithmetic_mean():
-    x = np.array([1.0, 0.0])
-    assert nmse([(x, x), (x, np.zeros(2))]) == pytest.approx(0.5)
-
-
-def test_nmse_permutation_invariant_and_mean():
-    rng = make_rng(2)
-    pairs = [(rng.standard_normal(8), rng.standard_normal(8)) for _ in range(6)]
-    forward = nmse(pairs)
-    assert nmse(pairs[::-1]) == pytest.approx(forward, abs=1e-15)
-    mean = np.mean([normalized_sq_error(t, h) for t, h in pairs])
-    assert forward == pytest.approx(mean, abs=1e-15)
-
-
-def test_nmse_rejects_empty():
-    with pytest.raises(ValueError):
-        nmse([])

@@ -7,8 +7,9 @@ import dcsparse.solvers
 from dcsparse.metrics import normalized_sq_error
 from dcsparse.seeding import derive_seed, make_rng
 from dcsparse.sensing import MeasurementMatrix, gaussian_matrix
-from dcsparse.solvers import (InstanceTooLarge, NumericalFailure, SolverOptions,
-                              SparseProblem, _power_lam_max, bcqp_gradient,
+from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, InstanceTooLarge,
+                              NumericalFailure, SolverOptions, SparseProblem,
+                              _power_lam_max, bcqp_gradient,
                               brute_force_l0, dc_gpsr, dc_proximal, default_rho,
                               gpsr_baseline, ista, objective_exact, objective_l1,
                               omp, solve_bcqp_gp, split_pos_neg)
@@ -178,7 +179,7 @@ def test_bcqp_matches_slow_fixed_step_oracle():
 
 def test_bcqp_iterates_feasible_monotone_and_safeguarded():
     p, _ = small_problem(11, m=10, n=16, k=3)
-    opts = SolverOptions(inner_tol=1e-300, inner_max=500, alpha_min=1e-20, alpha_max=1e20)
+    opts = SolverOptions(inner_tol=1e-300, inner_max=500)
     gvals, alphas = [], []
 
     def cb(k, z, gval, alpha):
@@ -189,7 +190,7 @@ def test_bcqp_iterates_feasible_monotone_and_safeguarded():
     solve_bcqp_gp(p, np.zeros(32), np.zeros(32), opts, on_iterate=cb)
     diffs = np.diff(gvals)
     assert np.all(diffs <= 1e-12)
-    assert all(opts.alpha_min <= a <= opts.alpha_max for a in alphas)
+    assert all(_ALPHA_MIN <= a <= _ALPHA_MAX for a in alphas)
 
 
 def test_bcqp_rejects_negative_start():
@@ -258,11 +259,12 @@ def test_dc_gpsr_rejects_bad_x0():
 
 # -------------------------------------------------------------- dc_proximal
 
-def test_dc_proximal_single_step_is_soft_threshold():
+def test_dc_proximal_single_step_is_soft_threshold(monkeypatch):
+    monkeypatch.setattr(dcsparse.solvers, "_LIPSCHITZ_MARGIN", 1.0)
     phi = MeasurementMatrix(np.eye(4), 4, 4)
     y = np.array([2.0, -0.3, 0.9, 0.0])
     p = SparseProblem(y=y, phi=phi, k=2, rho=0.5)
-    opts = SolverOptions(inner_max=1, outer_max=1, lipschitz_margin=1.0)
+    opts = SolverOptions(inner_max=1, outer_max=1)
     res = dc_proximal(p, opts=opts)
     assert np.allclose(res.x_hat, soft_threshold(y, 0.5), atol=1e-12)
 
@@ -379,10 +381,11 @@ def test_gpsr_baseline_is_first_dc_gpsr_step():
         assert a.inner_iters_total == b.inner_iters_total
 
 
-def test_ista_is_first_dc_proximal_step():
+def test_ista_is_first_dc_proximal_step(monkeypatch):
+    monkeypatch.setattr(dcsparse.solvers, "_LIPSCHITZ_MARGIN", 1.0)
     for p in engine_problems():
         a = ista(p)
-        b = dc_proximal(p, opts=SolverOptions(outer_max=1, lipschitz_margin=1.0))
+        b = dc_proximal(p, opts=SolverOptions(outer_max=1))
         assert np.array_equal(a.x_hat, b.x_hat)
         assert a.inner_iters_total == b.inner_iters_total
         assert a.trace.l1_objectives[-1] == b.trace.l1_objectives[-1]
@@ -425,7 +428,7 @@ def reference_solve_bcqp_gp(p, w_z, z0, opts=None, alpha0=None, tol=None,
     if alpha0 is None:
         lam = _power_lam_max(phi)
         alpha0 = 1.0 / lam if lam > 0 else 1.0
-    alpha = float(np.clip(alpha0, opts.alpha_min, opts.alpha_max))
+    alpha = float(np.clip(alpha0, _ALPHA_MIN, _ALPHA_MAX))
 
     fx = phi @ unsplit(z)
     grad = grad_of(fx)
@@ -467,8 +470,8 @@ def reference_solve_bcqp_gp(p, w_z, z0, opts=None, alpha0=None, tol=None,
             raise NumericalFailure("non-finite iterate in gradient projection", iteration=k)
         if on_iterate is not None:
             on_iterate(k, z, gnew, alpha)
-        alpha = float(np.clip(float(d @ d) / dbd, opts.alpha_min, opts.alpha_max)) \
-            if dbd > 0.0 else opts.alpha_max
+        alpha = float(np.clip(float(d @ d) / dbd, _ALPHA_MIN, _ALPHA_MAX)) \
+            if dbd > 0.0 else _ALPHA_MAX
         gval = gnew
     return z, inner
 
@@ -546,22 +549,11 @@ def test_bcqp_iterates_are_never_overwritten():
     assert inner == 0 and not np.shares_memory(z, z0)
 
 
-def test_traced_benchmark_spans_are_called(monkeypatch):
-    # bench/run.py --trace 1 wraps these dcsparse.solvers names and fails
-    # when one of them is never called during a solve.
-    names = ("solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
-             "normalized_sq_error")
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(dcsparse.solvers, name,
-                            counting(name, getattr(dcsparse.solvers, name)))
+def test_traced_benchmark_spans_are_called(count_calls):
+    # The dcsparse.solvers spans that bench/run.py --trace 1 requires.
+    calls = count_calls(dcsparse.solvers, (
+        "solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
+        "normalized_sq_error"))
     p, x_true = small_problem(23, m=16, n=32, k=4)
     dcsparse.solvers.dc_gpsr(p, ground_truth=x_true)
     dcsparse.solvers.gpsr_baseline(p, ground_truth=x_true)
@@ -655,13 +647,13 @@ def test_sparse_problem_validation():
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(alpha_min=1.0, alpha_max=0.5)
-    with pytest.raises(ValueError):
         SolverOptions(inner_tol=0.0)
+    with pytest.raises(ValueError):
+        SolverOptions(inner_tol=float("nan"))
     with pytest.raises(ValueError):
         SolverOptions(outer_max=0)
     with pytest.raises(ValueError):
-        SolverOptions(lipschitz_margin=0.9)
+        SolverOptions(inner_max=0)
 
 
 def test_default_rho_zero_signal_fallback():
