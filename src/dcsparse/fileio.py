@@ -35,11 +35,20 @@ def save_vector_csv(path, name: str, values: np.ndarray) -> None:
 
 
 def load_vector_csv(path):
-    """Returns (field_name, vector); two data columns are read back as complex."""
+    """Returns (field_name, vector); two data columns are read back as complex.
+
+    Raises ValueError, naming the line, unless every data row has one
+    column or every row has two.
+    """
     lines = Path(path).read_text().strip().split("\n")
     header = lines[0]
     rows = [line.split(",") for line in lines[1:]]
-    if rows and len(rows[0]) == 2:
+    width = len(rows[0]) if rows else 1
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width or width > 2:
+            raise ValueError(f"{path} line {lineno}: {len(row)} columns; a vector CSV "
+                             "has one column (real) or two (re,im) in every row")
+    if width == 2:
         name = header.split(",")[0].removesuffix("_re")
         return name, np.array([float(a) + 1j * float(b) for a, b in rows])
     name = header
@@ -95,13 +104,14 @@ def save_trace_csv(path, trace: SolverTrace) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-RECORDS_HEADER = "solver,sample,seed,snr_db,nse,outer_iters,inner_iters,wall_s"
+RECORDS_HEADER = "solver,sample,seed,snr_db,nse,outer_iters,inner_iters,converged,wall_s"
 
 
 def _record_row(rec) -> str:
     snr = "" if rec.snr_db is None else _fmt(rec.snr_db)
     return (f"{rec.solver_name},{rec.sample_index},{rec.seed},{snr},{_fmt(rec.nse)},"
-            f"{rec.outer_iters},{rec.inner_iters_total},{_fmt(rec.wall_time_seconds)}")
+            f"{rec.outer_iters},{rec.inner_iters_total},{str(rec.converged).lower()},"
+            f"{_fmt(rec.wall_time_seconds)}")
 
 
 def save_records_csv(path, records) -> None:
@@ -113,7 +123,8 @@ def save_records_json(path, records) -> None:
     payload = [
         {"solver": r.solver_name, "sample": r.sample_index, "seed": r.seed,
          "snr_db": r.snr_db, "nse": r.nse, "outer_iters": r.outer_iters,
-         "inner_iters": r.inner_iters_total, "wall_s": r.wall_time_seconds}
+         "inner_iters": r.inner_iters_total, "converged": r.converged,
+         "wall_s": r.wall_time_seconds}
         for r in records
     ]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

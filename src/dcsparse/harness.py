@@ -28,15 +28,22 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration entry."""
 
 
-def _solve_omp(problem, opts, ground_truth):
+def _solve_omp(problem, opts, ground_truth, inner_trace):
     return omp(problem.y, problem.phi, problem.k)
 
 
+# Solver name -> solve(problem, opts, ground_truth, inner_trace).  inner_trace
+# selects per-inner-iteration trace points for gpsr and ista; dc_gpsr and
+# dc_proximal trace once per outer step and omp not at all, so they ignore it.
+# The entries call through this module's globals, which bench/tracing.py wraps.
 SOLVER_REGISTRY = {
-    "dc_gpsr": lambda p, opts, truth: dc_gpsr(p, opts=opts, ground_truth=truth),
-    "dc_proximal": lambda p, opts, truth: dc_proximal(p, opts=opts, ground_truth=truth),
-    "gpsr": lambda p, opts, truth: gpsr_baseline(p, opts=opts, ground_truth=truth),
-    "ista": lambda p, opts, truth: ista(p, opts=opts, ground_truth=truth),
+    "dc_gpsr": lambda p, opts, truth, inner_trace: dc_gpsr(p, opts=opts, ground_truth=truth),
+    "dc_proximal": lambda p, opts, truth, inner_trace: dc_proximal(
+        p, opts=opts, ground_truth=truth),
+    "gpsr": lambda p, opts, truth, inner_trace: gpsr_baseline(
+        p, opts=opts, ground_truth=truth, inner_trace=inner_trace),
+    "ista": lambda p, opts, truth, inner_trace: ista(
+        p, opts=opts, ground_truth=truth, inner_trace=inner_trace),
     "omp": _solve_omp,
 }
 
@@ -99,6 +106,7 @@ class ResultRecord:
     nse: float
     outer_iters: int
     inner_iters_total: int
+    converged: bool
     wall_time_seconds: float
 
 
@@ -167,11 +175,13 @@ def cell_seed(base_seed: int, sample_index: int, snr_db: float | None) -> int:
     return derive_seed(base_seed, sample_index, key)
 
 
-def run_cell(cfg: ExperimentConfig, sample_index: int, snr_db: float | None):
+def run_cell(cfg: ExperimentConfig, sample_index: int, snr_db: float | None, *,
+             inner_trace: bool = True):
     """Run all configured solvers on one cell.
 
     Returns (records, results_by_solver, x_true) with results in the
-    config's solver order.
+    config's solver order.  inner_trace=False keeps only the start and end
+    trace points of gpsr and ista; records and x_hat are the same either way.
     """
     seed = cell_seed(cfg.base_seed, sample_index, snr_db)
     sample = sample_sparse_channel(cfg.n_antennas, cfg.sparsity, derive_seed(seed, 0))
@@ -188,7 +198,8 @@ def run_cell(cfg: ExperimentConfig, sample_index: int, snr_db: float | None):
     results = {}
     for name in cfg.solvers:
         start = time.perf_counter()
-        result = SOLVER_REGISTRY[name](problem, cfg.solver_options, sample.x_real)
+        result = SOLVER_REGISTRY[name](problem, cfg.solver_options, sample.x_real,
+                                       inner_trace=inner_trace)
         wall = time.perf_counter() - start
         results[name] = result
         records.append(ResultRecord(
@@ -199,6 +210,7 @@ def run_cell(cfg: ExperimentConfig, sample_index: int, snr_db: float | None):
             nse=normalized_sq_error(sample.x_real, result.x_hat),
             outer_iters=result.outer_iters,
             inner_iters_total=result.inner_iters_total,
+            converged=result.converged,
             wall_time_seconds=wall,
         ))
     return records, results, sample.x_real
@@ -249,14 +261,17 @@ def run_snr_sweep(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
 
     Returns (records, summary) where summary rows are
     (solver, snr_db, nmse-over-samples); the NMSE is the mean of the
-    per-sample normalized squared errors.
+    per-sample normalized squared errors.  The sweep returns no traces, so
+    gpsr and ista record only their start and end trace points
+    (run_cell's inner_trace=False); the records are the same as with
+    per-iteration traces.
     """
     if not cfg.snr_grid_db:
         raise ConfigError("snr sweep requires a nonempty snr_grid")
     records = []
     for snr_db in cfg.snr_grid_db:
         for i in range(cfg.num_samples):
-            cell_records, _, _ = run_cell(cfg, i, snr_db)
+            cell_records, _, _ = run_cell(cfg, i, snr_db, inner_trace=False)
             records.extend(cell_records)
     records = _sort_records(records)
     summary = []

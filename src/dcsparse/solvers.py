@@ -15,7 +15,8 @@ sizes (solve_bcqp_gp); dc_proximal runs proximal-gradient iterations on
 the unsplit subproblem (_solve_prox).
 
 The l1 baselines gpsr_baseline and ista are the first step of either
-loop with a zero subgradient, tracing every inner iterate.  omp and a
+loop with a zero subgradient; they trace every inner iterate, or with
+inner_trace=False only the start and end points.  omp and a
 brute-force cardinality-constrained least-squares oracle round out the
 benchmark set.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .metrics import normalized_sq_error
 from .sensing import MeasurementMatrix
-from .sparsity import soft_threshold, sparsity_gap, split_pos_neg, top_k1_subgradient
+from .sparsity import sparsity_gap, split_pos_neg, top_k1_subgradient
 
 # Inner-solve tolerance schedule of the DC loop: outer step t solves its
 # subproblem at max(inner_tol * _TOL_SHRINK**(t-1), floor), so early
@@ -406,20 +407,41 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, s: np.ndarray, x: np.ndarray,
     a step costs two matrix-vector products.  Stops when the relative
     objective decrease falls to tol, or at inner_max.  Returns (x, inner
     iterations, stopped on tol); `on_iterate(x)` is called after each step.
+
+    Every iterate is a fresh array that is never written afterwards, so the
+    x handed to on_iterate and the returned x stay valid after later
+    iterations and later calls.  The working vectors of an iteration live
+    in buffers allocated once per call.
     """
     phi = p.phi.phi
+    lam = p.rho / L
+    a = np.empty(p.phi.n)
+    mag = np.empty(p.phi.n)
+    r = np.empty(p.phi.m)
 
     def objective(x_, fx_):
-        r = p.y - fx_
-        return 0.5 * float(r @ r) + p.rho * float(np.abs(x_).sum()) - float(x_ @ s)
+        np.subtract(p.y, fx_, out=r)
+        np.abs(x_, out=mag)
+        return 0.5 * float(r @ r) + p.rho * float(mag.sum()) - float(x_ @ s)
 
     fx = phi @ x
     f = objective(x, fx)
     for j in range(1, inner_max + 1):
-        x = soft_threshold(x - (phi.T @ fx - pty - s) / L, p.rho / L)
+        # x = soft_threshold(x - (phi^T fx - pty - s) / L, rho / L), in that order.
+        g = phi.T @ fx
+        np.subtract(g, pty, out=g)
+        np.subtract(g, s, out=g)
+        np.divide(g, L, out=g)
+        np.subtract(x, g, out=a)
+        np.abs(a, out=mag)
+        np.subtract(mag, lam, out=mag)
+        np.maximum(mag, 0.0, out=mag)
+        x = np.sign(a, out=a) * mag
         fx = phi @ x
         f_new = objective(x, fx)
-        if not np.isfinite(f_new) or not np.all(np.isfinite(x)):
+        # No separate test of x: rho > 0, so a non-finite entry of x makes
+        # rho ||x||_1, and so f_new, non-finite.
+        if not math.isfinite(f_new):
             raise NumericalFailure("non-finite iterate in proximal gradient", iteration=j)
         if on_iterate is not None:
             on_iterate(x)
@@ -478,12 +500,15 @@ def dc_proximal(p: SparseProblem, x0: np.ndarray | None = None,
 
 def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
                   opts: SolverOptions | None = None,
-                  ground_truth: np.ndarray | None = None) -> ReconResult:
+                  ground_truth: np.ndarray | None = None, *,
+                  inner_trace: bool = True) -> ReconResult:
     """Plain l1 sparse recovery: one solve_bcqp_gp pass with a zero subgradient.
 
-    Minimizes 0.5 ||y - phi x||^2 + rho ||x||_1; the trace records every
-    inner iteration so objective evolutions can be plotted against the
-    DC solver's.
+    Minimizes 0.5 ||y - phi x||^2 + rho ||x||_1.  With inner_trace the
+    trace records every inner iteration, so objective evolutions can be
+    plotted against the DC solver's; without it, only the start point and
+    the end point, which carries the whole inner count (none after 0
+    iterations).  Both give the same result and the same final trace point.
     """
     opts = SolverOptions() if opts is None else opts
     n = p.phi.n
@@ -494,18 +519,24 @@ def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
     def record(k, z, gval, alpha):
         _record(trace, p, _unsplit(z), 1, 1, ground_truth)
 
-    z, inner = solve_bcqp_gp(p, np.zeros(2 * n), split_pos_neg(x0), opts, on_iterate=record)
-    return ReconResult(x_hat=_unsplit(z), trace=trace,
-                       converged=inner < opts.inner_max, outer_iters=1)
+    z, inner = solve_bcqp_gp(p, np.zeros(2 * n), split_pos_neg(x0), opts,
+                             on_iterate=record if inner_trace else None)
+    x = _unsplit(z)
+    if not inner_trace and inner:
+        _record(trace, p, x, inner, 1, ground_truth)
+    return ReconResult(x_hat=x, trace=trace, converged=inner < opts.inner_max,
+                       outer_iters=1)
 
 
 def ista(p: SparseProblem, x0: np.ndarray | None = None,
          opts: SolverOptions | None = None,
-         ground_truth: np.ndarray | None = None) -> ReconResult:
+         ground_truth: np.ndarray | None = None, *,
+         inner_trace: bool = True) -> ReconResult:
     """Iterative shrinkage-thresholding for the l1 problem.
 
     One _solve_prox pass with a zero subgradient at fixed step 1/L, L a
-    power-method estimate of ||phi^T phi||, tracing every iteration.
+    power-method estimate of ||phi^T phi||.  Traces every iteration, or
+    with inner_trace=False only the start and end points, as gpsr_baseline.
     """
     opts = SolverOptions() if opts is None else opts
     n = p.phi.n
@@ -518,8 +549,12 @@ def ista(p: SparseProblem, x0: np.ndarray | None = None,
     def record(x):
         _record(trace, p, x, 1, 1, ground_truth)
 
-    x, _, converged = _solve_prox(p, phi.T @ p.y, np.zeros(n), x0, lam if lam > 0 else 1.0,
-                                  opts.inner_tol, opts.inner_max, on_iterate=record)
+    x, inner, converged = _solve_prox(p, phi.T @ p.y, np.zeros(n), x0,
+                                      lam if lam > 0 else 1.0, opts.inner_tol,
+                                      opts.inner_max,
+                                      on_iterate=record if inner_trace else None)
+    if not inner_trace:  # _solve_prox takes at least one step
+        _record(trace, p, x, inner, 1, ground_truth)
     return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1)
 
 

@@ -85,6 +85,19 @@ def test_complex_vector_rejected(instance_dir, capsys, command, complex_arg):
     assert "complex.csv" in err and "complex vector" in err
 
 
+def test_solve_rejects_extra_csv_columns(instance_dir, capsys):
+    # Every data row of y.csv gets two extra columns: the reader must not
+    # quietly keep the first column and drop the rest.
+    lines = (instance_dir / "y.csv").read_text().strip().split("\n")
+    (instance_dir / "y_wide.csv").write_text(
+        "\n".join([lines[0]] + [line + ",5,7" for line in lines[1:]]) + "\n")
+    code = cli_main(["solve", "--phi", str(instance_dir / "phi.csv"),
+                     "--y", str(instance_dir / "y_wide.csv"), "--k", "4", "--solver", "omp"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "y_wide.csv line 2: 3 columns" in err
+
+
 def test_traced_benchmark_spans_are_called(tmp_path, capsys, count_calls):
     # The spans that bench/run.py --trace 1 requires on its cli_roundtrip
     # workload: generate, then solve --solver omp --truth --out.

@@ -6,7 +6,8 @@ import pytest
 from dcsparse.channel import sample_sparse_channel
 from dcsparse.fileio import (RECORDS_HEADER, SUMMARY_HEADER, TRACE_HEADER,
                              load_matrix, load_vector_csv, save_channel,
-                             save_matrix, save_records_csv, save_result,
+                             save_matrix, save_records_csv,
+                             save_records_json, save_result,
                              save_summary_csv, save_trace_csv, save_vector_csv)
 from dcsparse.harness import ResultRecord
 from dcsparse.seeding import make_rng
@@ -68,14 +69,35 @@ def test_trace_csv_layout(tmp_path):
 
 
 def test_records_csv_layout(tmp_path):
-    rec = ResultRecord(solver_name="dc_gpsr", sample_index=0, seed=42, snr_db=None,
-                       nse=0.5, outer_iters=3, inner_iters_total=10,
-                       wall_time_seconds=0.125)
+    recs = [ResultRecord(solver_name="dc_gpsr", sample_index=0, seed=42, snr_db=None,
+                         nse=0.5, outer_iters=3, inner_iters_total=10, converged=True,
+                         wall_time_seconds=0.125),
+            ResultRecord(solver_name="ista", sample_index=1, seed=7, snr_db=25.0,
+                         nse=0.25, outer_iters=1, inner_iters_total=4000, converged=False,
+                         wall_time_seconds=0.5)]
     path = tmp_path / "records.csv"
-    save_records_csv(path, [rec])
+    save_records_csv(path, recs)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == RECORDS_HEADER
-    assert lines[1] == "dc_gpsr,0,42,,0.5,3,10,0.125"
+    assert lines[0].split(",")[-2:] == ["converged", "wall_s"]
+    assert lines[1] == "dc_gpsr,0,42,,0.5,3,10,true,0.125"
+    assert lines[2] == "ista,1,7,25.0,0.25,1,4000,false,0.5"
+    save_records_json(tmp_path / "records.json", recs)
+    payload = json.loads((tmp_path / "records.json").read_text())
+    assert [r["converged"] for r in payload] == [True, False]
+    assert list(payload[0])[-2:] == ["converged", "wall_s"]
+
+
+@pytest.mark.parametrize("text, bad_line", [
+    ("y\n1.0,5,7\n2.0,5,7\n", 2),
+    ("y_re,y_im\n1.0,2.0\n3.0\n", 3),
+    ("y\n1.0\n2.0\n3.0,4.0\n", 4),
+], ids=["three_columns", "two_then_one_column", "one_then_two_columns"])
+def test_vector_csv_rejects_ragged_or_wide_rows(tmp_path, text, bad_line):
+    path = tmp_path / "y.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {bad_line}: "):
+        load_vector_csv(path)
 
 
 def test_summary_csv_layout(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dcsparse.harness
+import dcsparse.solvers
 from dcsparse.fileio import load_vector_csv
 from dcsparse.harness import (ConfigError, ExperimentConfig, cell_seed,
                               parse_config, run_cell, run_noiseless_study,
@@ -108,16 +109,52 @@ def test_snr_sweep_cardinality():
 
 
 def test_traced_benchmark_spans_are_called(count_calls):
-    # The dcsparse.harness spans that bench/run.py --trace 1 requires on
-    # its snr_sweep workload (a superset of the noiseless workload's).
+    # The spans that bench/run.py --trace 1 requires on its snr_sweep
+    # workload (a superset of the noiseless workload's), with the sweep's
+    # start-and-end-only traces of gpsr and ista.
     calls = count_calls(dcsparse.harness, (
         "run_snr_sweep", "sample_sparse_channel", "gaussian_matrix", "measure",
         "add_noise", "default_rho", "normalized_sq_error", "dc_gpsr", "gpsr_baseline",
         "ista", "omp"))
+    solver_calls = count_calls(dcsparse.solvers, (
+        "solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
+        "normalized_sq_error"))
     cfg = tiny_config(snr_grid_db=(15.0,), num_samples=1,
                       solvers=("dc_gpsr", "gpsr", "ista", "omp"))
     dcsparse.harness.run_snr_sweep(cfg)
     assert all(calls.values()), calls
+    assert all(solver_calls.values()), solver_calls
+
+
+def test_snr_sweep_records_equal_full_trace_cells(count_calls):
+    # The sweep keeps only the start and end trace points of gpsr and ista;
+    # its records must not depend on that.
+    solvers = ("dc_gpsr", "dc_proximal", "gpsr", "ista", "omp")
+    cfg = tiny_config(snr_grid_db=(5.0, 25.0), num_samples=2, solvers=solvers,
+                      solver_options=SolverOptions(inner_max=60, outer_max=5))
+    calls = count_calls(dcsparse.solvers, ("objective_exact",))
+    records, _ = run_snr_sweep(cfg)
+
+    def trace_points(r):  # one objective_exact call each
+        if r.solver_name == "omp":
+            return 0
+        if r.solver_name in ("gpsr", "ista"):  # the start, and the end after any iteration
+            return 1 + (r.inner_iters_total > 0)
+        return 1 + r.outer_iters
+
+    assert calls["objective_exact"] == sum(trace_points(r) for r in records)
+    expected = []
+    for snr_db in cfg.snr_grid_db:
+        for i in range(cfg.num_samples):
+            cell_records, results, _ = run_cell(cfg, i, snr_db, inner_trace=True)
+            for r in cell_records:
+                assert r.converged == results[r.solver_name].converged
+            expected.extend(cell_records)
+    assert len(records) == len(expected) == 20
+    assert {r.converged for r in records} == {True, False}
+    key = lambda r: (r.solver_name, r.snr_db, r.sample_index)  # noqa: E731
+    for a, b in zip(records, sorted(expected, key=key)):
+        assert replace(a, wall_time_seconds=0.0) == replace(b, wall_time_seconds=0.0)
 
 
 def test_snr_sweep_requires_grid():

@@ -1,4 +1,5 @@
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dcsparse.seeding import derive_seed, make_rng
 from dcsparse.sensing import MeasurementMatrix, gaussian_matrix
 from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, InstanceTooLarge,
                               NumericalFailure, SolverOptions, SparseProblem,
-                              _power_lam_max, bcqp_gradient,
+                              _power_lam_max, _solve_prox, bcqp_gradient,
                               brute_force_l0, dc_gpsr, dc_proximal, default_rho,
                               gpsr_baseline, ista, objective_exact, objective_l1,
                               omp, solve_bcqp_gp, split_pos_neg)
@@ -547,6 +548,136 @@ def test_bcqp_iterates_are_never_overwritten():
     z0 = np.zeros(64)
     z, inner = solve_bcqp_gp(q, np.zeros(64), z0)
     assert inner == 0 and not np.shares_memory(z, z0)
+
+
+@pytest.mark.parametrize("solver", [gpsr_baseline, ista])
+def test_l1_solvers_without_inner_trace_take_two_products_per_iteration(solver):
+    # Without per-iteration trace points only the two products of each
+    # inner step remain.
+    p, _ = small_problem(19, m=16, n=32, k=4)
+    untraced = functools.partial(solver, inner_trace=False)
+    runs = [counted_products(untraced, p, SolverOptions(outer_max=1, inner_max=cap))
+            for cap in (5, 15)]
+    assert [r.inner_iters_total for r, _ in runs] == [5, 15]
+    assert runs[1][1] - runs[0][1] == 10 * 2
+
+
+def assert_compact_trace_is_full_trace_ends(solver, p, opts=None, ground_truth=None):
+    full = solver(p, opts=opts, ground_truth=ground_truth)
+    compact = solver(p, opts=opts, ground_truth=ground_truth, inner_trace=False)
+    assert np.array_equal(compact.x_hat, full.x_hat)
+    assert (compact.converged, compact.outer_iters, compact.inner_iters_total) == \
+        (full.converged, full.outer_iters, full.inner_iters_total)
+    ends = [0] if full.inner_iters_total == 0 else [0, -1]
+    for name in ("outer_objectives", "l1_objectives", "errors", "outer_steps"):
+        assert getattr(compact.trace, name) == [getattr(full.trace, name)[i] for i in ends]
+    assert compact.trace.inner_counts == [0, full.inner_iters_total][:len(ends)]
+    return full.inner_iters_total
+
+
+@pytest.mark.parametrize("solver", [gpsr_baseline, ista])
+def test_compact_trace_is_first_and_last_full_trace_point(solver):
+    for i, p in enumerate(engine_problems()):
+        opts = SolverOptions(inner_max=7) if i % 5 == 0 else None  # some stop at the cap
+        assert assert_compact_trace_is_full_trace_ends(solver, p, opts) > 0
+    p, x_true = small_problem(24, m=16, n=32, k=4)
+    assert assert_compact_trace_is_full_trace_ends(solver, p, ground_truth=x_true) > 0
+    # y = 0: gpsr_baseline stops at its start point after 0 iterations.
+    q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
+    inner = assert_compact_trace_is_full_trace_ends(solver, q, ground_truth=x_true)
+    assert inner == (0 if solver is gpsr_baseline else 1)
+
+
+def reference_solve_prox(p, pty, s, x, L, tol, inner_max, on_iterate=None):
+    """The proximal-gradient loop as first written, with fresh arrays each step.
+
+    Kept as the oracle for _solve_prox, which reuses buffers and must
+    produce the same iterates bit for bit.
+    """
+    phi = p.phi.phi
+
+    def objective(x_, fx_):
+        r = p.y - fx_
+        return 0.5 * float(r @ r) + p.rho * float(np.abs(x_).sum()) - float(x_ @ s)
+
+    fx = phi @ x
+    f = objective(x, fx)
+    for j in range(1, inner_max + 1):
+        x = soft_threshold(x - (phi.T @ fx - pty - s) / L, p.rho / L)
+        fx = phi @ x
+        f_new = objective(x, fx)
+        if not np.isfinite(f_new) or not np.all(np.isfinite(x)):
+            raise NumericalFailure("non-finite iterate in proximal gradient", iteration=j)
+        if on_iterate is not None:
+            on_iterate(x)
+        done = abs(f - f_new) <= tol * max(abs(f_new), 1e-12)
+        f = f_new
+        if done:
+            break
+    return x, j, done
+
+
+def assert_prox_same_as_reference(p, s=None, x0=None, tol=1e-8, inner_max=4000):
+    n = p.phi.n
+    s = np.zeros(n) if s is None else s
+    x0 = np.zeros(n) if x0 is None else x0
+    pty = p.phi.phi.T @ p.y
+    L = _power_lam_max(p.phi.phi)
+    runs = []
+    for solve in (_solve_prox, reference_solve_prox):
+        seen = []
+        x, inner, done = solve(p, pty, s, x0, L, tol, inner_max, on_iterate=seen.append)
+        runs.append((x, inner, done, seen))
+    (x, inner, done, seen), (x_ref, inner_ref, done_ref, seen_ref) = runs
+    assert np.array_equal(x, x_ref)
+    assert (inner, done) == (inner_ref, done_ref)
+    assert len(seen) == len(seen_ref) == inner
+    assert all(np.array_equal(a, b) for a, b in zip(seen, seen_ref))
+    return inner, done
+
+
+def test_prox_matches_reference_loop_on_engine_problems():
+    for p in engine_problems():
+        assert assert_prox_same_as_reference(p)[0] > 1
+
+
+def test_prox_matches_reference_loop_with_subgradient_and_warm_start():
+    p, x_true = small_problem(20, m=16, n=32, k=4)
+    s = p.rho * top_k1_subgradient(x_true, p.k).w
+    assert assert_prox_same_as_reference(p, s=s)[0] > 1
+    x0 = make_rng(8).standard_normal(32)
+    assert assert_prox_same_as_reference(p, s=s, x0=x0)[0] > 1
+
+
+def test_prox_matches_reference_loop_degenerate_inputs():
+    p, _ = small_problem(21, m=16, n=32, k=4)
+    q = SparseProblem(y=np.zeros(16), phi=p.phi, k=p.k, rho=p.rho)
+    assert assert_prox_same_as_reference(q) == (1, True)
+    assert assert_prox_same_as_reference(p, inner_max=1) == (1, False)
+    assert assert_prox_same_as_reference(p, tol=1e-300, inner_max=60) == (60, False)
+
+
+def test_prox_iterates_are_never_overwritten():
+    p, x_true = small_problem(22, m=16, n=32, k=4)
+    s = p.rho * top_k1_subgradient(x_true, p.k).w
+    x0 = make_rng(9).standard_normal(32)
+    pty = p.phi.phi.T @ p.y
+    L = _power_lam_max(p.phi.phi)
+    kept, snapshots = [], []
+
+    def keep(x):
+        kept.append(x)
+        snapshots.append(x.copy())
+
+    x, inner, _ = _solve_prox(p, pty, s, x0, L, 1e-300, 150, on_iterate=keep)
+    assert inner == len(kept) == 150
+    assert x is kept[-1]
+    _solve_prox(p, pty, s, x0, L, 1e-300, 150)  # a later call
+    for i, xk in enumerate(kept):
+        assert np.array_equal(xk, snapshots[i])
+        assert not np.shares_memory(xk, x0) and not np.shares_memory(xk, s)
+        if i:
+            assert not np.shares_memory(xk, kept[i - 1])
 
 
 def test_traced_benchmark_spans_are_called(count_calls):
