@@ -1,6 +1,6 @@
 """Gaussian measurement matrices, compression, and calibrated noise."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,18 @@ class MeasurementMatrix:
 
     A C-ordered phi is stored starting on a 64-byte boundary (copied if
     needed), which speeds up the solvers' matrix-vector products.
+
+    The solvers keep their power-method estimate of ||phi^T phi|| as
+    (phi, value) in _lam_max_cache and reuse it only while phi is that
+    same array object; write to a fresh array, not into phi in place.
     """
 
     phi: np.ndarray
     m: int
     n: int
     seed: int | None = None
+    _lam_max_cache: tuple | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)

@@ -16,9 +16,10 @@ the unsplit subproblem (_solve_prox).
 
 The l1 baselines gpsr_baseline and ista are the first step of either
 loop with a zero subgradient; they trace every inner iterate, or with
-inner_trace=False only the start and end points.  omp and a
-brute-force cardinality-constrained least-squares oracle round out the
-benchmark set.
+inner_trace=False only the start and end points.  dc_gpsr can resume
+from a gpsr_baseline result (l1_start) instead of solving that step
+again.  omp and a brute-force cardinality-constrained least-squares
+oracle round out the benchmark set.
 """
 
 import math
@@ -145,12 +146,17 @@ class SolverTrace:
 
 @dataclass
 class ReconResult:
-    """Recovered vector plus convergence bookkeeping."""
+    """Recovered vector plus convergence bookkeeping.
+
+    split is the z = [u; v] that solve_bcqp_gp returned, with x_hat = u - v;
+    only gpsr_baseline sets it, so dc_gpsr can resume from it (l1_start).
+    """
 
     x_hat: np.ndarray
     trace: SolverTrace
     converged: bool
     outer_iters: int
+    split: np.ndarray | None = None
 
     @property
     def inner_iters_total(self) -> int:
@@ -202,6 +208,14 @@ def _power_lam_max(mat: np.ndarray) -> float:
             return 0.0
         v = w / lam
     return lam
+
+
+def _lam_max(mm: MeasurementMatrix) -> float:
+    """_power_lam_max(mm.phi), computed once per operator and reused while mm.phi is that array."""
+    cached = mm._lam_max_cache
+    if cached is None or cached[0] is not mm.phi:
+        cached = mm._lam_max_cache = (mm.phi, _power_lam_max(mm.phi))
+    return cached[1]
 
 
 def _bcqp_linear_term(p: SparseProblem, w_z: np.ndarray) -> np.ndarray:
@@ -276,7 +290,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     c = _bcqp_linear_term(p, w_z)
     c_u, c_v = c[:n], c[n:]
     if alpha0 is None:
-        lam = _power_lam_max(phi)
+        lam = _lam_max(p.phi)
         alpha0 = 1.0 / lam if lam > 0 else 1.0
     alpha = min(max(float(alpha0), _ALPHA_MIN), _ALPHA_MAX)
 
@@ -454,20 +468,42 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, s: np.ndarray, x: np.ndarray,
 
 def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
             opts: SolverOptions | None = None,
-            ground_truth: np.ndarray | None = None) -> ReconResult:
+            ground_truth: np.ndarray | None = None, *,
+            l1_start: ReconResult | None = None) -> ReconResult:
     """Exact-sparsity reconstruction by DC programming with a gradient-projection inner solver.
 
     Runs _dc_loop over the split z = [u; v] of x = u - v, solving each
     step's nonnegativity-constrained quadratic with solve_bcqp_gp warm-started
     at the previous iterate.  Subproblems tighten to the floating-point
     floor before the _OUTER_TOL stop is accepted.
+
+    Step 1 starts from x = 0 with a zero subgradient, which is exactly
+    gpsr_baseline's l1 solve.  l1_start, if given, must be
+    gpsr_baseline(p, opts=opts) on the same p and opts (either inner_trace);
+    its split and inner count then stand in for step 1, and the result is
+    the same as without it.  When inner_tol lies below the floor that
+    step 1 is clamped to, step 1 is solved anyway.
     """
     opts = SolverOptions() if opts is None else opts
-    x0 = np.zeros(p.phi.n) if x0 is None else _check_signal(x0, p)
-    lam = _power_lam_max(p.phi.phi)
+    n = p.phi.n
+    if l1_start is not None:
+        if x0 is not None:
+            raise ValueError("l1_start is the l1 solve from x = 0; it cannot come with x0")
+        split = l1_start.split
+        if split is None or np.shape(split) != (2 * n,):
+            raise ValueError(f"l1_start must carry a split of length {2 * n} "
+                             "(a gpsr_baseline result on the same problem)")
+        if opts.inner_tol < _TOL_FLOOR:
+            l1_start = None
+    x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
+    lam = _lam_max(p.phi)
     alpha0 = 1.0 / lam if lam > 0 else 1.0
 
     def inner_solve(w, z, tol):
+        nonlocal l1_start
+        if l1_start is not None:
+            step1, l1_start = l1_start, None
+            return step1.split, step1.inner_iters_total
         return solve_bcqp_gp(p, split_pos_neg(w), z, opts, alpha0=alpha0, tol=tol)
 
     return _dc_loop(p, split_pos_neg(x0), _unsplit, inner_solve, opts, ground_truth,
@@ -488,7 +524,7 @@ def dc_proximal(p: SparseProblem, x0: np.ndarray | None = None,
     x0 = np.zeros(p.phi.n) if x0 is None else _check_signal(x0, p)
     phi = p.phi.phi
     pty = phi.T @ p.y
-    L = max(_power_lam_max(phi) * _LIPSCHITZ_MARGIN, 1e-12)
+    L = max(_lam_max(p.phi) * _LIPSCHITZ_MARGIN, 1e-12)
 
     def inner_solve(w, x, tol):
         x, inner, _ = _solve_prox(p, pty, p.rho * w, x, L, tol, opts.inner_max)
@@ -525,7 +561,7 @@ def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
     if not inner_trace and inner:
         _record(trace, p, x, inner, 1, ground_truth)
     return ReconResult(x_hat=x, trace=trace, converged=inner < opts.inner_max,
-                       outer_iters=1)
+                       outer_iters=1, split=z)
 
 
 def ista(p: SparseProblem, x0: np.ndarray | None = None,
@@ -542,7 +578,7 @@ def ista(p: SparseProblem, x0: np.ndarray | None = None,
     n = p.phi.n
     x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
     phi = p.phi.phi
-    lam = _power_lam_max(phi)
+    lam = _lam_max(p.phi)
     trace = SolverTrace()
     _record(trace, p, x0, 0, 0, ground_truth)
 
@@ -563,7 +599,9 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
 
     Each round picks the column most correlated (normalized) with the
     residual, refits on the grown support, and updates the residual; stops
-    early once the residual is negligible.
+    early once the residual is negligible.  converged says whether the
+    residual is negligible at the end, so a solve that used up its k
+    rounds on a larger residual reports False.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (phi.m,):
@@ -577,10 +615,10 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
     support: list[int] = []
     coef = np.zeros(0)
     resid = y.copy()
-    y_scale = max(1.0, float(np.linalg.norm(y)))
+    resid_tol = 1e-14 * max(1.0, float(np.linalg.norm(y)))
     rounds = 0
     for step in range(1, k + 1):
-        if float(np.linalg.norm(resid)) <= 1e-14 * y_scale:
+        if float(np.linalg.norm(resid)) <= resid_tol:
             break
         scores = np.abs(pm.T @ resid) / safe_norms
         scores[support] = -np.inf
@@ -594,7 +632,7 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
     x_hat = np.zeros(phi.n)
     if support:
         x_hat[support] = coef
-    return ReconResult(x_hat=x_hat, trace=SolverTrace(), converged=True,
+    return ReconResult(x_hat=x_hat, trace=SolverTrace(), converged=float(np.linalg.norm(resid)) <= resid_tol,
                        outer_iters=rounds)
 
 

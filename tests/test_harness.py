@@ -109,29 +109,63 @@ def test_snr_sweep_cardinality():
 
 
 def test_traced_benchmark_spans_are_called(count_calls):
-    # The spans that bench/run.py --trace 1 requires on its snr_sweep
-    # workload (a superset of the noiseless workload's), with the sweep's
-    # start-and-end-only traces of gpsr and ista.
-    calls = count_calls(dcsparse.harness, (
-        "run_snr_sweep", "sample_sparse_channel", "gaussian_matrix", "measure",
-        "add_noise", "default_rho", "normalized_sq_error", "dc_gpsr", "gpsr_baseline",
-        "ista", "omp"))
+    # The spans that bench/run.py --trace 1 requires on its noiseless
+    # workload and on its snr_sweep workload, with the sweep's
+    # start-and-end-only traces of gpsr and ista; in both, dc_gpsr resumes
+    # from gpsr's solve.
+    cell = ("sample_sparse_channel", "gaussian_matrix", "measure", "default_rho",
+            "normalized_sq_error", "dc_gpsr", "gpsr_baseline", "omp")
+    calls = count_calls(dcsparse.harness, cell + (
+        "run_noiseless_study", "run_snr_sweep", "add_noise", "ista"))
     solver_calls = count_calls(dcsparse.solvers, (
         "solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
         "normalized_sq_error"))
+    dcsparse.harness.run_noiseless_study(tiny_config(num_samples=1,
+                                                     solvers=("dc_gpsr", "gpsr", "omp")))
+    assert all(calls[name] for name in cell + ("run_noiseless_study",)), calls
+    assert all(solver_calls.values()), solver_calls
+    for counts in (calls, solver_calls):
+        counts.update(dict.fromkeys(counts, 0))
     cfg = tiny_config(snr_grid_db=(15.0,), num_samples=1,
                       solvers=("dc_gpsr", "gpsr", "ista", "omp"))
     dcsparse.harness.run_snr_sweep(cfg)
-    assert all(calls.values()), calls
+    assert all(calls[name] for name in calls if name != "run_noiseless_study"), calls
     assert all(solver_calls.values()), solver_calls
+
+
+def test_run_cell_shares_the_l1_solve_with_dc_gpsr(count_calls):
+    # gpsr runs first and dc_gpsr resumes from it: every record, x_hat and
+    # trace equals the solver run alone, and one l1 solve is saved per cell.
+    solvers = ("omp", "dc_gpsr", "ista", "gpsr")
+    cfg = tiny_config(solvers=solvers)
+    calls = count_calls(dcsparse.solvers, ("solve_bcqp_gp",))
+    for snr_db, inner_trace in ((None, True), (15.0, False)):
+        for i in range(cfg.num_samples):
+            calls["solve_bcqp_gp"] = 0
+            records, results, _ = run_cell(cfg, i, snr_db, inner_trace=inner_trace)
+            shared = calls["solve_bcqp_gp"]
+            assert list(results) == [r.solver_name for r in records] == list(solvers)
+            wall = {r.solver_name: r.wall_time_seconds for r in records}
+            assert wall["dc_gpsr"] >= wall["gpsr"]
+            calls["solve_bcqp_gp"] = 0
+            for name, record in zip(solvers, records):
+                alone, alone_results, _ = run_cell(replace(cfg, solvers=(name,)), i, snr_db,
+                                                   inner_trace=inner_trace)
+                assert replace(alone[0], wall_time_seconds=0.0) == \
+                    replace(record, wall_time_seconds=0.0)
+                a, b = alone_results[name], results[name]
+                assert a.x_hat.tobytes() == b.x_hat.tobytes()
+                assert repr(a.trace) == repr(b.trace)
+            assert shared == calls["solve_bcqp_gp"] - 1
 
 
 def test_snr_sweep_records_equal_full_trace_cells(count_calls):
     # The sweep keeps only the start and end trace points of gpsr and ista;
-    # its records must not depend on that.
+    # its records must not depend on that.  With these caps dc_gpsr
+    # converges while gpsr, ista, dc_proximal and the noisy omp solves do not.
     solvers = ("dc_gpsr", "dc_proximal", "gpsr", "ista", "omp")
     cfg = tiny_config(snr_grid_db=(5.0, 25.0), num_samples=2, solvers=solvers,
-                      solver_options=SolverOptions(inner_max=60, outer_max=5))
+                      solver_options=SolverOptions(inner_max=60))
     calls = count_calls(dcsparse.solvers, ("objective_exact",))
     records, _ = run_snr_sweep(cfg)
 

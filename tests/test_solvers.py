@@ -1,5 +1,6 @@
 import copy
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,6 +383,126 @@ def test_gpsr_baseline_is_first_dc_gpsr_step():
         assert a.inner_iters_total == b.inner_iters_total
 
 
+def assert_same_result(a, b):
+    """Equal x_hat, counts, converged flag and trace lists, bit for bit."""
+    assert a.x_hat.tobytes() == b.x_hat.tobytes()
+    assert (a.converged, a.outer_iters, a.inner_iters_total) == \
+        (b.converged, b.outer_iters, b.inner_iters_total)
+    for name in ("outer_objectives", "l1_objectives", "errors", "inner_counts",
+                 "outer_steps"):
+        assert repr(getattr(a.trace, name)) == repr(getattr(b.trace, name))
+
+
+def assert_resumed_dc_gpsr_is_dc_gpsr(p, opts=None, ground_truth=None):
+    """dc_gpsr resumed from gpsr_baseline (either trace) equals dc_gpsr; returns step 1's count."""
+    plain = dc_gpsr(p, opts=opts, ground_truth=ground_truth)
+    for inner_trace in (True, False):
+        start = gpsr_baseline(p, opts=opts, inner_trace=inner_trace)
+        resumed = dc_gpsr(p, opts=opts, ground_truth=ground_truth, l1_start=start)
+        assert_same_result(resumed, plain)
+        assert resumed.trace.inner_counts[1] == start.inner_iters_total
+    return plain.trace.inner_counts[1]
+
+
+def test_dc_gpsr_resumed_from_gpsr_is_dc_gpsr():
+    for i, p in enumerate(engine_problems()):
+        assert assert_resumed_dc_gpsr_is_dc_gpsr(p) > 0
+        if i % 4 == 0:
+            assert_resumed_dc_gpsr_is_dc_gpsr(p, SolverOptions(outer_max=1))
+    p, x_true = small_problem(24, m=16, n=32, k=4)
+    assert_resumed_dc_gpsr_is_dc_gpsr(p, ground_truth=x_true)
+    # The l1 solve stopped at its cap, and so is every later step.
+    assert assert_resumed_dc_gpsr_is_dc_gpsr(p, SolverOptions(inner_max=7)) == 7
+    # y = 0: gpsr takes 0 iterations and step 2 re-solves at the floor.
+    q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
+    assert assert_resumed_dc_gpsr_is_dc_gpsr(q, ground_truth=x_true) == 0
+    y = np.zeros(8)
+    y[[1, 5, 6]] = [2.0, -3.0, 0.4]
+    eye = SparseProblem(y=y, phi=MeasurementMatrix(np.eye(8), 8, 8), k=3, rho=0.05)
+    assert assert_resumed_dc_gpsr_is_dc_gpsr(eye) > 0
+
+
+def test_dc_gpsr_resumed_from_gpsr_skips_one_solve(count_calls):
+    p, _ = small_problem(25, m=16, n=32, k=4)
+    start = gpsr_baseline(p)
+    calls = count_calls(dcsparse.solvers, ("solve_bcqp_gp",))
+    plain = dc_gpsr(p)
+    standalone = calls["solve_bcqp_gp"]
+    dc_gpsr(p, l1_start=start)
+    assert standalone == plain.outer_iters > 1
+    assert calls["solve_bcqp_gp"] - standalone == standalone - 1
+
+
+def test_dc_gpsr_resumes_from_the_split_not_x_hat(monkeypatch):
+    # Step 2 warm-starts from the z = [u; v] gpsr stopped at, which need
+    # not be split_pos_neg(x_hat): give it one where both halves are positive.
+    p, _ = small_problem(26, m=16, n=32, k=4)
+    start = gpsr_baseline(p)
+    assert np.array_equal(start.split, split_pos_neg(start.x_hat))
+    shifted = start.split + 0.5
+    assert np.allclose(shifted[:32] - shifted[32:], start.x_hat, rtol=0, atol=1e-15)
+    starts = []
+    solve = dcsparse.solvers.solve_bcqp_gp
+
+    def spy(p_, w_z, z0, *args, **kwargs):
+        starts.append(np.array(z0))
+        return solve(p_, w_z, z0, *args, **kwargs)
+
+    monkeypatch.setattr(dcsparse.solvers, "solve_bcqp_gp", spy)
+    dc_gpsr(p, opts=SolverOptions(outer_max=2), l1_start=replace(start, split=shifted))
+    assert len(starts) == 1 and np.array_equal(starts[0], shifted)
+
+
+def test_dc_gpsr_l1_start_guards():
+    p, _ = small_problem(27, m=16, n=32, k=4)
+    start = gpsr_baseline(p)
+    with pytest.raises(ValueError, match="x0"):
+        dc_gpsr(p, x0=np.zeros(32), l1_start=start)
+    for other in (ista(p), dc_gpsr(p), omp(p.y, p.phi, p.k),
+                  gpsr_baseline(small_problem(27)[0])):
+        with pytest.raises(ValueError, match="split"):
+            dc_gpsr(p, l1_start=other)
+
+
+def test_dc_gpsr_solves_step_one_below_the_tolerance_floor(count_calls):
+    # Step 1 runs at max(inner_tol, floor), not at inner_tol, so gpsr's
+    # solve at a smaller inner_tol is not step 1 and is not used.
+    p, _ = small_problem(28, m=16, n=32, k=4)
+    opts = SolverOptions(inner_tol=1e-30, inner_max=300, outer_max=4)
+    calls = count_calls(dcsparse.solvers, ("solve_bcqp_gp",))
+    resumed = dc_gpsr(p, opts=opts, l1_start=gpsr_baseline(p, opts=opts))
+    assert calls["solve_bcqp_gp"] == 1 + resumed.outer_iters
+    assert_same_result(resumed, dc_gpsr(p, opts=opts))
+
+
+def test_gpsr_baseline_carries_its_split():
+    for p in engine_problems():
+        for inner_trace in (True, False):
+            res = gpsr_baseline(p, inner_trace=inner_trace)
+            n = p.phi.n
+            assert res.split.shape == (2 * n,) and np.all(res.split >= 0)
+            assert (res.split[:n] - res.split[n:]).tobytes() == res.x_hat.tobytes()
+    assert ista(p).split is None and dc_gpsr(p).split is None
+    assert omp(p.y, p.phi, p.k).split is None
+
+
+def test_power_method_runs_once_per_operator(count_calls):
+    p, _ = small_problem(29, m=16, n=32, k=4)
+    expected = _power_lam_max(p.phi.phi)
+    calls = count_calls(dcsparse.solvers, ("_power_lam_max",))
+    for solver in (dc_gpsr, gpsr_baseline, ista, dc_proximal):
+        solver(p)
+    assert calls["_power_lam_max"] == 1
+    cached_phi, value = p.phi._lam_max_cache
+    assert cached_phi is p.phi.phi and value == expected
+    # A copy whose phi is another array (here a counting view) computes its own.
+    counted_products(gpsr_baseline, p, SolverOptions(inner_max=5))
+    assert calls["_power_lam_max"] == 2
+    # A new operator starts without a value.
+    assert gaussian_matrix(16, 32, 30)._lam_max_cache is None
+    assert calls["_power_lam_max"] == 2
+
+
 def test_ista_is_first_dc_proximal_step(monkeypatch):
     monkeypatch.setattr(dcsparse.solvers, "_LIPSCHITZ_MARGIN", 1.0)
     for p in engine_problems():
@@ -686,8 +807,10 @@ def test_traced_benchmark_spans_are_called(count_calls):
         "solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
         "normalized_sq_error"))
     p, x_true = small_problem(23, m=16, n=32, k=4)
-    dcsparse.solvers.dc_gpsr(p, ground_truth=x_true)
-    dcsparse.solvers.gpsr_baseline(p, ground_truth=x_true)
+    start = dcsparse.solvers.gpsr_baseline(p, ground_truth=x_true)
+    # dc_gpsr resumed from that solve calls every one of them.
+    calls.update(dict.fromkeys(calls, 0))
+    dcsparse.solvers.dc_gpsr(p, ground_truth=x_true, l1_start=start)
     assert all(calls.values()), calls
 
 
@@ -719,6 +842,19 @@ def test_omp_exact_recovery_one_sparse_over_seeds():
         res = omp(phi.phi @ x, phi, 1)
         hits += np.allclose(res.x_hat, x, atol=1e-10)
     assert hits == 100
+
+
+def test_omp_converged_reports_the_residual_stop():
+    phi = gaussian_matrix(8, 12, 21)
+    y = 2.0 * phi.phi[:, 3]
+    early = omp(y, phi, 3)  # residual negligible after round 1
+    assert (early.outer_iters, early.converged) == (1, True)
+    last = omp(y, phi, 1)  # residual negligible only after the last round
+    assert (last.outer_iters, last.converged) == (1, True)
+    noisy = omp(y + 0.01 * make_rng(31).standard_normal(8), phi, 3)
+    assert (noisy.outer_iters, noisy.converged) == (3, False)
+    zero = omp(np.zeros(8), phi, 3)
+    assert (zero.outer_iters, zero.converged) == (0, True)
 
 
 def test_omp_k_range_validation():
