@@ -88,11 +88,13 @@ class ExperimentConfig:
             raise ConfigError(f"rho_rule must be > 0, got {self.rho_rule}")
         self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
         self.solvers = tuple(self.solvers)
-        for name in self.solvers:
+        for i, name in enumerate(self.solvers):
             if name not in SOLVER_REGISTRY:
                 raise ConfigError(
                     f"unknown solver {name!r}; choose from {sorted(SOLVER_REGISTRY)}"
                 )
+            if name in self.solvers[:i]:
+                raise ConfigError(f"duplicate solver {name!r} in solvers")
         if not self.solvers:
             raise ConfigError("solvers must name at least one solver")
 

@@ -15,11 +15,11 @@ sizes (solve_bcqp_gp); dc_proximal runs proximal-gradient iterations on
 the unsplit subproblem (_solve_prox).
 
 The l1 baselines gpsr_baseline and ista are the first step of either
-loop with a zero subgradient; they trace every inner iterate, or with
-inner_trace=False only the start and end points.  dc_gpsr can resume
-from a gpsr_baseline result (l1_start) instead of solving that step
-again.  omp and a brute-force cardinality-constrained least-squares
-oracle round out the benchmark set.
+loop with a zero subgradient; they trace every inner iterate, evaluated
+_TRACE_BATCH at a time (_InnerTrace), or with inner_trace=False only the
+start and end points.  dc_gpsr can resume from a gpsr_baseline result
+(l1_start) instead of solving that step again.  omp and a brute-force
+cardinality-constrained least-squares oracle round out the benchmark set.
 """
 
 import math
@@ -52,6 +52,10 @@ _ALPHA_MAX = 1e30
 # dc_proximal steps at 1/L with L = _LIPSCHITZ_MARGIN times the power-method
 # estimate of the curvature of phi^T phi, which can only undershoot it.
 _LIPSCHITZ_MARGIN = 1.1
+# Full traces of the l1 baselines evaluate their inner iterates this many at
+# a time: one matrix-matrix product per batch instead of one matrix-vector
+# product per point.
+_TRACE_BATCH = 64
 
 
 class NumericalFailure(RuntimeError):
@@ -225,9 +229,9 @@ def _bcqp_linear_term(p: SparseProblem, w_z: np.ndarray) -> np.ndarray:
 
 
 def _unsplit(z: np.ndarray) -> np.ndarray:
-    """x = u - v from the stacked split z = [u; v]."""
-    n = z.size // 2
-    return z[:n] - z[n:]
+    """x = u - v from the stacked split z = [u; v], row by row for a stack of splits."""
+    n = z.shape[-1] // 2
+    return z[..., :n] - z[..., n:]
 
 
 def bcqp_gradient(z: np.ndarray, p: SparseProblem, w_z: np.ndarray) -> np.ndarray:
@@ -377,6 +381,61 @@ def _record(trace: SolverTrace, p: SparseProblem, x: np.ndarray, inner: int,
     )
     trace.inner_counts.append(inner)
     trace.outer_steps.append(outer_step)
+
+
+def _record_batch(trace: SolverTrace, p: SparseProblem, x: np.ndarray,
+                  ground_truth) -> None:
+    """Append one inner trace point (inner count 1, outer step 1) per row of x.
+
+    The quantities of _record, from one matrix-matrix product, row-wise
+    sums and a row-wise sort (faster than a partition on rows full of
+    exact zeros), so they agree with _record's to round-off, not bit for bit.
+    """
+    r = p.y - x @ p.phi.phi.T
+    half_rr = 0.5 * np.einsum("ij,ij->i", r, r)
+    mag = np.abs(x)
+    l1 = mag.sum(axis=1)
+    top = np.sort(mag, axis=1)[:, -p.k:].sum(axis=1)
+    trace.outer_objectives.extend((half_rr + p.rho * (l1 - top)).tolist())
+    trace.l1_objectives.extend((half_rr + p.rho * l1).tolist())
+    if ground_truth is None:
+        trace.errors.extend([None] * len(x))
+    else:
+        truth = np.asarray(ground_truth, dtype=float)
+        d = truth - x
+        trace.errors.extend((np.einsum("ij,ij->i", d, d) / float(truth @ truth)).tolist())
+    trace.inner_counts.extend([1] * len(x))
+    trace.outer_steps.extend([1] * len(x))
+
+
+class _InnerTrace:
+    """Full trace of an l1 baseline's inner iterates, x = to_x(iterate).
+
+    add() keeps a reference to each iterate, which the inner solvers never
+    write again, and every _TRACE_BATCH of them go to _record_batch
+    together.  The newest iterate is always held back, so finish() records
+    the final point through _record, bit-equal to the compact trace's end.
+    """
+
+    def __init__(self, trace: SolverTrace, p: SparseProblem, to_x, ground_truth):
+        self.trace, self.p, self.to_x, self.ground_truth = trace, p, to_x, ground_truth
+        self.held = []
+
+    def add(self, iterate: np.ndarray) -> None:
+        self.held.append(iterate)
+        if len(self.held) > _TRACE_BATCH:
+            self._evaluate(_TRACE_BATCH)
+
+    def _evaluate(self, count: int) -> None:
+        _record_batch(self.trace, self.p, self.to_x(np.array(self.held[:count])),
+                      self.ground_truth)
+        del self.held[:count]
+
+    def finish(self) -> None:
+        if len(self.held) > 1:
+            self._evaluate(len(self.held) - 1)
+        if self.held:
+            _record(self.trace, self.p, self.to_x(self.held.pop()), 1, 1, self.ground_truth)
 
 
 def _dc_loop(p: SparseProblem, state: np.ndarray, to_x, inner_solve,
@@ -542,23 +601,25 @@ def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
 
     Minimizes 0.5 ||y - phi x||^2 + rho ||x||_1.  With inner_trace the
     trace records every inner iteration, so objective evolutions can be
-    plotted against the DC solver's; without it, only the start point and
-    the end point, which carries the whole inner count (none after 0
-    iterations).  Both give the same result and the same final trace point.
+    plotted against the DC solver's; the points between the start and the
+    end are evaluated in batches (_InnerTrace) and agree with _record's
+    values to round-off.  Without it, only the start point and the end
+    point, which carries the whole inner count (none after 0 iterations).
+    Both give the same result and the same first and last trace points.
     """
     opts = SolverOptions() if opts is None else opts
     n = p.phi.n
     x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
     trace = SolverTrace()
     _record(trace, p, x0, 0, 0, ground_truth)
-
-    def record(k, z, gval, alpha):
-        _record(trace, p, _unsplit(z), 1, 1, ground_truth)
-
-    z, inner = solve_bcqp_gp(p, np.zeros(2 * n), split_pos_neg(x0), opts,
-                             on_iterate=record if inner_trace else None)
+    points = _InnerTrace(trace, p, _unsplit, ground_truth) if inner_trace else None
+    z, inner = solve_bcqp_gp(
+        p, np.zeros(2 * n), split_pos_neg(x0), opts,
+        on_iterate=None if points is None else lambda k, z, gval, alpha: points.add(z))
     x = _unsplit(z)
-    if not inner_trace and inner:
+    if points is not None:
+        points.finish()
+    elif inner:
         _record(trace, p, x, inner, 1, ground_truth)
     return ReconResult(x_hat=x, trace=trace, converged=inner < opts.inner_max,
                        outer_iters=1, split=z)
@@ -581,15 +642,14 @@ def ista(p: SparseProblem, x0: np.ndarray | None = None,
     lam = _lam_max(p.phi)
     trace = SolverTrace()
     _record(trace, p, x0, 0, 0, ground_truth)
-
-    def record(x):
-        _record(trace, p, x, 1, 1, ground_truth)
-
+    points = _InnerTrace(trace, p, np.asarray, ground_truth) if inner_trace else None
     x, inner, converged = _solve_prox(p, phi.T @ p.y, np.zeros(n), x0,
                                       lam if lam > 0 else 1.0, opts.inner_tol,
                                       opts.inner_max,
-                                      on_iterate=record if inner_trace else None)
-    if not inner_trace:  # _solve_prox takes at least one step
+                                      on_iterate=None if points is None else points.add)
+    if points is not None:
+        points.finish()
+    else:  # _solve_prox takes at least one step
         _record(trace, p, x, inner, 1, ground_truth)
     return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1)
 

@@ -66,6 +66,8 @@ def test_parse_config_rejects_duplicates_and_garbage():
         parse_config("whatever\n")
     with pytest.raises(ConfigError):
         parse_config("samples=many\n")
+    with pytest.raises(ConfigError, match="duplicate solver 'gpsr'"):
+        parse_config("solvers=gpsr,dc_gpsr,gpsr\n")
 
 
 def test_config_validation_field_names():
@@ -75,6 +77,8 @@ def test_config_validation_field_names():
         tiny_config(sparsity=40)
     with pytest.raises(ConfigError, match="solver"):
         tiny_config(solvers=("nope",))
+    with pytest.raises(ConfigError, match="duplicate solver 'omp'"):
+        tiny_config(solvers=("omp", "dc_gpsr", "omp"))
     with pytest.raises(ConfigError, match="rho"):
         tiny_config(rho_rule=-1.0)
 

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 import dcsparse.solvers
+from dcsparse.channel import sample_sparse_channel
 from dcsparse.metrics import normalized_sq_error
 from dcsparse.seeding import derive_seed, make_rng
-from dcsparse.sensing import MeasurementMatrix, gaussian_matrix
-from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, InstanceTooLarge,
-                              NumericalFailure, SolverOptions, SparseProblem,
-                              _power_lam_max, _solve_prox, bcqp_gradient,
-                              brute_force_l0, dc_gpsr, dc_proximal, default_rho,
-                              gpsr_baseline, ista, objective_exact, objective_l1,
-                              omp, solve_bcqp_gp, split_pos_neg)
+from dcsparse.sensing import MeasurementMatrix, gaussian_matrix, measure
+from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TRACE_BATCH,
+                              InstanceTooLarge, NumericalFailure, SolverOptions,
+                              SolverTrace, SparseProblem, _power_lam_max, _record,
+                              _solve_prox, bcqp_gradient, brute_force_l0, dc_gpsr,
+                              dc_proximal, default_rho, gpsr_baseline, ista,
+                              objective_exact, objective_l1, omp, solve_bcqp_gp,
+                              split_pos_neg)
 from dcsparse.sparsity import soft_threshold, top_k1_norm, top_k1_subgradient
 
 
@@ -513,17 +515,40 @@ def test_ista_is_first_dc_proximal_step(monkeypatch):
         assert a.trace.l1_objectives[-1] == b.trace.l1_objectives[-1]
 
 
+def trace_batches(points):
+    """Batches _InnerTrace evaluates for `points` inner iterates: all but the last."""
+    return -(-(points - 1) // _TRACE_BATCH) if points else 0
+
+
 @pytest.mark.parametrize("solver, per_iteration",
                          [(dc_proximal, 2), (ista, 3), (gpsr_baseline, 3)])
-def test_products_per_inner_iteration(solver, per_iteration):
-    # Each inner step takes two products.  ista and gpsr_baseline trace
-    # every iterate, and a trace point forms its residual once for both
-    # objectives, which is the third product.
+def test_products_per_inner_iteration(solver, per_iteration, monkeypatch):
+    # Each inner step takes two products; gpsr_baseline's loop takes one
+    # more every 64 steps to refresh phi x.  ista and gpsr_baseline trace
+    # every iterate: the final point forms its residual once for both
+    # objectives, and the points before it take one product per batch.
+    # In batches of one, each point takes its own: per_iteration.
     p, _ = small_problem(19, m=16, n=32, k=4)
-    runs = [counted_products(solver, p, SolverOptions(outer_max=1, inner_max=cap))
-            for cap in (5, 15)]
-    assert [r.inner_iters_total for r, _ in runs] == [5, 15]
-    assert runs[1][1] - runs[0][1] == 10 * per_iteration
+    traced = solver is not dc_proximal
+
+    def counts(caps):
+        runs = [counted_products(solver, p, SolverOptions(outer_max=1, inner_max=cap,
+                                                          inner_tol=1e-300))
+                for cap in caps]
+        assert [r.inner_iters_total for r, _ in runs] == list(caps)
+        return [count for _, count in runs]
+
+    def extra(cap):
+        refreshes = cap // 64 if solver is gpsr_baseline else 0
+        return refreshes + (trace_batches(cap) if traced else 0)
+
+    caps = (5, 63, 64, 65, 129, 200)
+    first, *rest = counts(caps)
+    for cap, count in zip(caps[1:], rest):
+        assert count - first == 2 * (cap - caps[0]) + extra(cap) - extra(caps[0])
+    monkeypatch.setattr(dcsparse.solvers, "_TRACE_BATCH", 1)
+    short, longer = counts((5, 15))
+    assert longer - short == 10 * per_iteration
 
 
 def reference_solve_bcqp_gp(p, w_z, z0, opts=None, alpha0=None, tol=None,
@@ -696,6 +721,10 @@ def assert_compact_trace_is_full_trace_ends(solver, p, opts=None, ground_truth=N
     return full.inner_iters_total
 
 
+# Caps on either side of the first two trace batches.
+BATCH_CAPS = (_TRACE_BATCH - 1, _TRACE_BATCH, _TRACE_BATCH + 1, 2 * _TRACE_BATCH + 1)
+
+
 @pytest.mark.parametrize("solver", [gpsr_baseline, ista])
 def test_compact_trace_is_first_and_last_full_trace_point(solver):
     for i, p in enumerate(engine_problems()):
@@ -703,9 +732,81 @@ def test_compact_trace_is_first_and_last_full_trace_point(solver):
         assert assert_compact_trace_is_full_trace_ends(solver, p, opts) > 0
     p, x_true = small_problem(24, m=16, n=32, k=4)
     assert assert_compact_trace_is_full_trace_ends(solver, p, ground_truth=x_true) > 0
+    for cap in BATCH_CAPS:
+        opts = SolverOptions(inner_tol=1e-300, inner_max=cap)
+        for truth in (x_true, None):
+            assert assert_compact_trace_is_full_trace_ends(solver, p, opts, truth) == cap
     # y = 0: gpsr_baseline stops at its start point after 0 iterations.
     q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
     inner = assert_compact_trace_is_full_trace_ends(solver, q, ground_truth=x_true)
+    assert inner == (0 if solver is gpsr_baseline else 1)
+
+
+@pytest.fixture
+def l1_iterates(monkeypatch):
+    """x of every iterate the l1 baselines' inner solvers hand to on_iterate, in order."""
+    seen = []
+
+    def keep(solve, position, to_x):
+        def wrapped(*args, on_iterate=None, **kwargs):
+            def on_iterate_and_keep(*step):
+                seen.append(to_x(step[position]))
+                on_iterate(*step)
+            return solve(*args, on_iterate=on_iterate_and_keep, **kwargs)
+        monkeypatch.setattr(dcsparse.solvers, solve.__name__, wrapped)
+
+    keep(solve_bcqp_gp, 1, lambda z: z[:z.size // 2] - z[z.size // 2:])
+    keep(_solve_prox, 0, lambda x: x)
+    return seen
+
+
+def assert_inner_points_match_record(solver, iterates, p, opts=None, ground_truth=None):
+    """Every full-trace point after the start equals _record on its iterate, up to round-off.
+
+    The last point is recorded by _record itself and must be bit-equal.
+    """
+    iterates.clear()
+    res = solver(p, opts=opts, ground_truth=ground_truth)
+    inner = res.inner_iters_total
+    assert len(iterates) == inner
+    assert res.trace.inner_counts == [0] + [1] * inner
+    assert res.trace.outer_steps == [0] + [1] * inner
+    want = SolverTrace()
+    for x in iterates:
+        _record(want, p, x, 1, 1, ground_truth)
+    scale = 0.5 * float(p.y @ p.y)
+    for name in ("outer_objectives", "l1_objectives", "errors"):
+        got, ref = getattr(res.trace, name)[1:], getattr(want, name)
+        assert len(got) == len(ref) == inner
+        if inner:
+            assert got[-1] == ref[-1]
+        for g, r in zip(got, ref):
+            if name == "errors":
+                assert (g is None and r is None) or abs(g - r) <= 1e-12 * r
+            else:
+                assert abs(g - r) <= 1e-12 * max(abs(r), scale)
+    return inner
+
+
+@pytest.mark.parametrize("solver", [gpsr_baseline, ista])
+def test_batched_trace_points_match_record(solver, l1_iterates):
+    for p in engine_problems():  # clean and noisy
+        assert assert_inner_points_match_record(solver, l1_iterates, p) > 0
+    p, x_true = small_problem(24, m=16, n=32, k=4)
+    for cap in BATCH_CAPS:
+        opts = SolverOptions(inner_tol=1e-300, inner_max=cap)
+        for truth in (x_true, None):
+            assert assert_inner_points_match_record(solver, l1_iterates, p, opts, truth) == cap
+    # A 256-antenna cell: 512 unknowns, 128 measurements, 16 paths.
+    sample = sample_sparse_channel(256, 16, 31)
+    phi = gaussian_matrix(128, 512, 32)
+    y = measure(phi, sample.x_real)
+    cell = SparseProblem(y=y, phi=phi, k=32, rho=default_rho(phi, y))
+    assert assert_inner_points_match_record(solver, l1_iterates, cell,
+                                            ground_truth=sample.x_real) > 2 * _TRACE_BATCH
+    # y = 0: gpsr_baseline stops at its start point, ista after one step.
+    q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
+    inner = assert_inner_points_match_record(solver, l1_iterates, q, ground_truth=x_true)
     assert inner == (0 if solver is gpsr_baseline else 1)
 
 
