@@ -129,8 +129,9 @@ def _cmd_solve(args) -> int:
     rho = default_rho(phi, y) if args.rho == "auto" else float(args.rho)
     problem = SparseProblem(y=y, phi=phi, k=args.k, rho=rho)
     truth = _load_real_vector(args.truth) if args.truth else None
+    # Per-inner-iteration trace points only when --out writes the trace.
     result = SOLVER_REGISTRY[args.solver](problem, SolverOptions(), truth,
-                                          inner_trace=True)
+                                          inner_trace=bool(args.out))
     residual = problem.y - phi.phi @ result.x_hat
     metrics = {
         "solver": args.solver,

@@ -242,6 +242,11 @@ def run_noiseless_study(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
     curves, and reconstruction overlays.
 
     Returns (records, traces) with traces keyed by (solver, sample_index).
+    With out_dir, gpsr and ista trace every inner iteration, as written.
+    Without it nothing is written, so they keep only their start and end
+    points (run_cell's inner_trace=False), as in the sweep; dc_gpsr and
+    dc_proximal trace each outer step and omp records none either way.
+    The records are the same with and without out_dir.
     """
     if cfg.snr_grid_db:
         raise ConfigError("noiseless study requires an empty snr_grid")
@@ -251,7 +256,8 @@ def run_noiseless_study(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(cfg.num_samples):
-        cell_records, results, x_true = run_cell(cfg, i, None)
+        cell_records, results, x_true = run_cell(cfg, i, None,
+                                                 inner_trace=out_dir is not None)
         records.extend(cell_records)
         for name, result in results.items():
             traces[(name, i)] = result.trace

@@ -492,12 +492,12 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, s: np.ndarray, x: np.ndarray,
     mag = np.empty(p.phi.n)
     r = np.empty(p.phi.m)
 
-    def objective(x_, fx_):
+    def objective(x_, fx_):  # mag must hold |x_|
         np.subtract(p.y, fx_, out=r)
-        np.abs(x_, out=mag)
         return 0.5 * float(r @ r) + p.rho * float(mag.sum()) - float(x_ @ s)
 
     fx = phi @ x
+    np.abs(x, out=mag)
     f = objective(x, fx)
     for j in range(1, inner_max + 1):
         # x = soft_threshold(x - (phi^T fx - pty - s) / L, rho / L), in that order.
@@ -509,6 +509,7 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, s: np.ndarray, x: np.ndarray,
         np.abs(a, out=mag)
         np.subtract(mag, lam, out=mag)
         np.maximum(mag, 0.0, out=mag)
+        # mag is now |x| exactly, NaN and zeros included: |sign(a)| * mag.
         x = np.sign(a, out=a) * mag
         fx = phi @ x
         f_new = objective(x, fx)

@@ -5,6 +5,7 @@ import pytest
 
 import dcsparse.cli
 import dcsparse.harness
+import dcsparse.solvers
 from dcsparse.cli import cli_main
 from dcsparse.fileio import load_vector_csv, save_vector_csv
 
@@ -36,6 +37,26 @@ def test_solve_happy_path(instance_dir, capsys):
     assert metrics["nse"] <= 1e-10
     assert (instance_dir / "run" / "solve_dc_gpsr_x_hat.csv").exists()
     assert (instance_dir / "run" / "trace_dc_gpsr.csv").exists()
+
+
+def test_solve_evaluates_full_trace_only_with_out(instance_dir, capsys, monkeypatch):
+    # solve writes the trace only under --out; without it no batch of
+    # inner trace points is evaluated, and the printed metrics are the same.
+    args = ["solve", "--phi", str(instance_dir / "phi.csv"),
+            "--y", str(instance_dir / "y.csv"), "--k", "4", "--solver", "gpsr",
+            "--truth", str(instance_dir / "x_true.csv"), "--format", "json"]
+    assert cli_main(args + ["--out", str(instance_dir / "run")]) == 0
+    written = json.loads(capsys.readouterr().out)
+    lines = (instance_dir / "run" / "trace_gpsr.csv").read_text().splitlines()
+    # One data row per inner iteration plus the start; over 65, so --out evaluated a batch.
+    assert len(lines) - 1 == written["inner_iters"] + 1 > 65
+
+    def refuse(*a, **k):
+        raise AssertionError("a full inner trace was evaluated")
+
+    monkeypatch.setattr(dcsparse.solvers, "_record_batch", refuse)
+    assert cli_main(args) == 0
+    assert json.loads(capsys.readouterr().out) == written
 
 
 def test_solve_text_output(instance_dir, capsys):

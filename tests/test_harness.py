@@ -5,7 +5,7 @@ import pytest
 
 import dcsparse.harness
 import dcsparse.solvers
-from dcsparse.fileio import load_vector_csv
+from dcsparse.fileio import load_vector_csv, save_trace_csv
 from dcsparse.harness import (ConfigError, ExperimentConfig, cell_seed,
                               parse_config, run_cell, run_noiseless_study,
                               run_snr_sweep)
@@ -88,10 +88,36 @@ def test_k_real_defaults_to_twice_sparsity():
     assert cfg.k_real == 6
 
 
-def test_noiseless_study_cardinality_and_traces():
-    records, traces = run_noiseless_study(tiny_config())
-    assert len(records) == 4  # 2 samples x 2 solvers
-    assert set(traces) == {("dc_gpsr", 0), ("dc_gpsr", 1), ("omp", 0), ("omp", 1)}
+def test_noiseless_study_cardinality_and_traces(tmp_path, monkeypatch):
+    # Written traces hold every inner iteration of gpsr and ista.  Without
+    # out_dir nothing is written, so no batch of inner points is evaluated:
+    # the returned gpsr/ista traces are the written files' first and last
+    # rows, and every record and other trace is the same.
+    solvers = ("dc_gpsr", "gpsr", "ista", "omp")
+    cfg = tiny_config(solvers=solvers)
+    written, written_traces = run_noiseless_study(cfg, out_dir=tmp_path / "out")
+
+    def refuse(*a, **k):
+        raise AssertionError("a full inner trace was evaluated")
+
+    monkeypatch.setattr(dcsparse.solvers, "_record_batch", refuse)
+    records, traces = run_noiseless_study(cfg)
+    assert len(records) == 8  # 2 samples x 4 solvers
+    assert set(traces) == {(name, i) for name in solvers for i in range(2)}
+    assert [replace(r, wall_time_seconds=0.0) for r in records] == \
+        [replace(r, wall_time_seconds=0.0) for r in written]
+    for r in records:
+        key = (r.solver_name, r.sample_index)
+        if r.solver_name in ("dc_gpsr", "omp"):
+            assert repr(traces[key]) == repr(written_traces[key])
+            continue
+        assert r.inner_iters_total > 0
+        lines = (tmp_path / "out" / f"trace_{key[0]}_s{key[1]}.csv").read_text().splitlines()
+        assert len(lines) == 1 + r.inner_iters_total + 1  # header, start, one per iteration
+        assert len(traces[key].outer_objectives) == 2
+        save_trace_csv(tmp_path / "compact.csv", traces[key])
+        assert (tmp_path / "compact.csv").read_text().splitlines() == \
+            [lines[0], lines[1], lines[-1]]
 
 
 def test_noiseless_study_rejects_snr_grid():
