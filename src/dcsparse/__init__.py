@@ -3,9 +3,8 @@
 dc_gpsr reconstructs sparse vectors from compressed Gaussian measurements
 by difference-of-convex programming over the top-(k,1)-norm penalty, with
 a matrix-free gradient-projection inner solver.  The package also ships
-the proximal inner-solver variant, the plain l1 / ISTA / OMP baselines, a
-brute-force oracle, a massive-MIMO angular channel generator, and a
-seeded benchmark harness with a CLI.
+the plain l1 / ISTA / OMP baselines, a brute-force oracle, a massive-MIMO
+angular channel generator, and a seeded benchmark harness with a CLI.
 """
 
 from .channel import (ChannelSample, PathSpec, concat_real, dft_matrix,
@@ -20,9 +19,9 @@ from .sensing import (MeasurementMatrix, add_noise, gaussian_matrix, measure,
                       snr_to_sigma)
 from .solvers import (InstanceTooLarge, NumericalFailure, ReconResult,
                       SolverOptions, SolverTrace, SparseProblem,
-                      bcqp_gradient, brute_force_l0, dc_gpsr, dc_proximal,
-                      default_rho, gpsr_baseline, ista, objective_exact,
-                      objective_l1, omp, solve_bcqp_gp)
+                      bcqp_gradient, brute_force_l0, dc_gpsr, default_rho,
+                      gpsr_baseline, ista, objective_exact, objective_l1, omp,
+                      solve_bcqp_gp)
 from .sparsity import (SubgradientVector, project_nonneg, soft_threshold,
                        sparsity_gap, split_pos_neg, top_k1_norm,
                        top_k1_subgradient)
@@ -40,7 +39,7 @@ __all__ = [
     "snr_to_sigma",
     "InstanceTooLarge", "NumericalFailure", "ReconResult", "SolverOptions",
     "SolverTrace", "SparseProblem", "bcqp_gradient", "brute_force_l0",
-    "dc_gpsr", "dc_proximal", "default_rho", "gpsr_baseline", "ista",
+    "dc_gpsr", "default_rho", "gpsr_baseline", "ista",
     "objective_exact", "objective_l1", "omp", "solve_bcqp_gp",
     "SubgradientVector", "project_nonneg", "soft_threshold", "sparsity_gap",
     "split_pos_neg", "top_k1_norm", "top_k1_subgradient",

@@ -18,8 +18,8 @@ from .fileio import (save_records_csv, save_records_json, save_summary_csv,
 from .metrics import normalized_sq_error
 from .seeding import derive_seed
 from .sensing import add_noise, gaussian_matrix, measure, snr_to_sigma
-from .solvers import (SolverOptions, SparseProblem, dc_gpsr, dc_proximal,
-                      default_rho, gpsr_baseline, ista, omp)
+from .solvers import (SolverOptions, SparseProblem, dc_gpsr, default_rho,
+                      gpsr_baseline, ista, omp)
 
 _NOISELESS_KEY = -1
 
@@ -33,15 +33,13 @@ def _solve_omp(problem, opts, ground_truth, inner_trace):
 
 
 # Solver name -> solve(problem, opts, ground_truth, inner_trace).  inner_trace
-# selects per-inner-iteration trace points for gpsr and ista; dc_gpsr and
-# dc_proximal trace once per outer step and omp not at all, so they ignore it.
+# selects per-inner-iteration trace points for gpsr and ista; dc_gpsr traces
+# once per outer step and omp not at all, so they ignore it.
 # dc_gpsr also takes l1_start, the gpsr result on the same problem (see run_cell).
 # The entries call through this module's globals, which bench/tracing.py wraps.
 SOLVER_REGISTRY = {
     "dc_gpsr": lambda p, opts, truth, inner_trace, l1_start=None: dc_gpsr(
         p, opts=opts, ground_truth=truth, l1_start=l1_start),
-    "dc_proximal": lambda p, opts, truth, inner_trace: dc_proximal(
-        p, opts=opts, ground_truth=truth),
     "gpsr": lambda p, opts, truth, inner_trace: gpsr_baseline(
         p, opts=opts, ground_truth=truth, inner_trace=inner_trace),
     "ista": lambda p, opts, truth, inner_trace: ista(
@@ -244,8 +242,8 @@ def run_noiseless_study(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
     Returns (records, traces) with traces keyed by (solver, sample_index).
     With out_dir, gpsr and ista trace every inner iteration, as written.
     Without it nothing is written, so they keep only their start and end
-    points (run_cell's inner_trace=False), as in the sweep; dc_gpsr and
-    dc_proximal trace each outer step and omp records none either way.
+    points (run_cell's inner_trace=False), as in the sweep; dc_gpsr traces
+    each outer step and omp records none either way.
     The records are the same with and without out_dir.
     """
     if cfg.snr_grid_db:

@@ -5,21 +5,21 @@ The flagship routine, dc_gpsr, minimizes
     0.5 * ||y - phi @ x||^2 + rho * (||x||_1 - ||x||_{k,1})
 
 whose penalty is an exact expression of "at most k nonzeros".  The
-objective is a difference of convex functions, so each step of one DC
-outer loop (_dc_loop) linearizes the subtracted top-(k,1) norm at the
-current iterate and solves the remaining convex piece with one of two
-inner solvers.  dc_gpsr splits x into positive and negative parts, which
-turns the subproblem into a nonnegativity-constrained quadratic program
-handled matrix-free by projected gradients with Barzilai-Borwein step
-sizes (solve_bcqp_gp); dc_proximal runs proximal-gradient iterations on
-the unsplit subproblem (_solve_prox).
+objective is a difference of convex functions, so each DC outer step
+linearizes the subtracted top-(k,1) norm at the current iterate and
+solves the remaining convex piece.  dc_gpsr splits x into positive and
+negative parts, which turns that piece into a nonnegativity-constrained
+quadratic program handled matrix-free by projected gradients with
+Barzilai-Borwein step sizes (solve_bcqp_gp).
 
-The l1 baselines gpsr_baseline and ista are the first step of either
-loop with a zero subgradient; they trace every inner iterate, evaluated
-_TRACE_BATCH at a time (_InnerTrace), or with inner_trace=False only the
-start and end points.  dc_gpsr can resume from a gpsr_baseline result
-(l1_start) instead of solving that step again.  omp and a brute-force
-cardinality-constrained least-squares oracle round out the benchmark set.
+The l1 baselines are gpsr_baseline, which is dc_gpsr's first step (a
+zero subgradient), and ista, proximal-gradient iterations on the
+unsplit l1 problem (_solve_prox).  They trace every inner iterate,
+evaluated _TRACE_BATCH at a time (_InnerTrace), or with
+inner_trace=False only the start and end points.  dc_gpsr can resume
+from a gpsr_baseline result (l1_start) instead of solving that step
+again.  omp and a brute-force cardinality-constrained least-squares
+oracle round out the benchmark set.
 """
 
 import math
@@ -32,26 +32,20 @@ from .metrics import normalized_sq_error
 from .sensing import MeasurementMatrix
 from .sparsity import sparsity_gap, split_pos_neg, top_k1_subgradient
 
-# Inner-solve tolerance schedule of the DC loop: outer step t solves its
-# subproblem at max(inner_tol * _TOL_SHRINK**(t-1), floor), so early
+# Inner-solve tolerance schedule of dc_gpsr: outer step t solves its
+# subproblem at max(inner_tol * _TOL_SHRINK**(t-1), _TOL_FLOOR), so early
 # subproblems stop at the configured practical tolerance while late ones
-# are polished to the floating-point floor.  dc_gpsr's floor is expressed
-# on the *predicted* per-step decrease, which stays resolvable far below
-# the ~1e-16 * |G| resolution of the objective values themselves;
-# dc_proximal's inner stop compares objective values, so its floor sits
-# just above that resolution.
+# are polished to the floating-point floor.  The floor is expressed on the
+# *predicted* per-step decrease of solve_bcqp_gp, which stays resolvable
+# far below the ~1e-16 * |G| resolution of the objective values themselves.
 _TOL_SHRINK = 1e-2
 _TOL_FLOOR = 1e-26
-_PROX_TOL_FLOOR = 1e-15
 
-# The DC loop stops once a step moves its state by at most _OUTER_TOL in 2-norm.
+# dc_gpsr stops once a step moves its split by at most _OUTER_TOL in 2-norm.
 _OUTER_TOL = 1e-14
 # Barzilai-Borwein steps of solve_bcqp_gp are clamped to [_ALPHA_MIN, _ALPHA_MAX].
 _ALPHA_MIN = 1e-30
 _ALPHA_MAX = 1e30
-# dc_proximal steps at 1/L with L = _LIPSCHITZ_MARGIN times the power-method
-# estimate of the curvature of phi^T phi, which can only undershoot it.
-_LIPSCHITZ_MARGIN = 1.1
 # Full traces of the l1 baselines evaluate their inner iterates this many at
 # a time: one matrix-matrix product per batch instead of one matrix-vector
 # product per point.
@@ -438,43 +432,9 @@ class _InnerTrace:
             _record(self.trace, self.p, self.to_x(self.held.pop()), 1, 1, self.ground_truth)
 
 
-def _dc_loop(p: SparseProblem, state: np.ndarray, to_x, inner_solve,
-             opts: SolverOptions, ground_truth, tol_floor: float,
-             resolve_at_floor: bool = True) -> ReconResult:
-    """DC outer loop over the inner solver's variable `state`, with x = to_x(state).
-
-    Step t solves `inner_solve(w, state, tol) -> (state, inner iterations)`
-    with w the top-(k,1) subgradient at x, zero at x == 0 (it lies in the
-    subdifferential there), and tol tightening from inner_tol to tol_floor.
-    It stops once a step moves the state by at most _OUTER_TOL; with
-    resolve_at_floor that counts only after a solve at tol_floor, so an
-    earlier such step re-solves at the floor.  Traces the start and every step.
-    """
-    x = to_x(state)
-    trace = SolverTrace()
-    _record(trace, p, x, 0, 0, ground_truth)
-    converged = False
-    at_floor = False
-    for t in range(1, opts.outer_max + 1):
-        w = top_k1_subgradient(x, p.k).w if x.any() else np.zeros(x.size)
-        tol_t = tol_floor if at_floor else max(opts.inner_tol * _TOL_SHRINK ** (t - 1),
-                                               tol_floor)
-        new_state, inner = inner_solve(w, state, tol_t)
-        delta = float(np.linalg.norm(new_state - state))
-        state = new_state
-        x = to_x(state)
-        _record(trace, p, x, inner, t, ground_truth)
-        if delta <= _OUTER_TOL:
-            if at_floor or tol_t <= tol_floor or not resolve_at_floor:
-                converged = True
-                break
-            at_floor = True
-    return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=t)
-
-
-def _solve_prox(p: SparseProblem, pty: np.ndarray, s: np.ndarray, x: np.ndarray,
-                L: float, tol: float, inner_max: int, on_iterate=None):
-    """Proximal gradients for min 0.5 ||y - phi x||^2 - s^T x + rho ||x||_1, pty = phi^T y.
+def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
+                tol: float, inner_max: int, on_iterate=None):
+    """Proximal gradients for min 0.5 ||y - phi x||^2 + rho ||x||_1, pty = phi^T y.
 
     Each step's phi x serves both its objective and the next gradient, so
     a step costs two matrix-vector products.  Stops when the relative
@@ -492,18 +452,17 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, s: np.ndarray, x: np.ndarray,
     mag = np.empty(p.phi.n)
     r = np.empty(p.phi.m)
 
-    def objective(x_, fx_):  # mag must hold |x_|
+    def objective(fx_):  # mag must hold |x|
         np.subtract(p.y, fx_, out=r)
-        return 0.5 * float(r @ r) + p.rho * float(mag.sum()) - float(x_ @ s)
+        return 0.5 * float(r @ r) + p.rho * float(mag.sum())
 
     fx = phi @ x
     np.abs(x, out=mag)
-    f = objective(x, fx)
+    f = objective(fx)
     for j in range(1, inner_max + 1):
-        # x = soft_threshold(x - (phi^T fx - pty - s) / L, rho / L), in that order.
+        # x = soft_threshold(x - (phi^T fx - pty) / L, rho / L), in that order.
         g = phi.T @ fx
         np.subtract(g, pty, out=g)
-        np.subtract(g, s, out=g)
         np.divide(g, L, out=g)
         np.subtract(x, g, out=a)
         np.abs(a, out=mag)
@@ -512,7 +471,7 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, s: np.ndarray, x: np.ndarray,
         # mag is now |x| exactly, NaN and zeros included: |sign(a)| * mag.
         x = np.sign(a, out=a) * mag
         fx = phi @ x
-        f_new = objective(x, fx)
+        f_new = objective(fx)
         # No separate test of x: rho > 0, so a non-finite entry of x makes
         # rho ||x||_1, and so f_new, non-finite.
         if not math.isfinite(f_new):
@@ -532,10 +491,14 @@ def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
             l1_start: ReconResult | None = None) -> ReconResult:
     """Exact-sparsity reconstruction by DC programming with a gradient-projection inner solver.
 
-    Runs _dc_loop over the split z = [u; v] of x = u - v, solving each
-    step's nonnegativity-constrained quadratic with solve_bcqp_gp warm-started
-    at the previous iterate.  Subproblems tighten to the floating-point
-    floor before the _OUTER_TOL stop is accepted.
+    Runs over the split z = [u; v] of x = u - v.  Step t takes w, the
+    top-(k,1) subgradient at x (zero at x == 0, where it lies in the
+    subdifferential), and solves the nonnegativity-constrained quadratic
+    with linear term split_pos_neg(w) by solve_bcqp_gp, warm-started at the
+    previous z, with its tolerance tightening from inner_tol to _TOL_FLOOR.
+    It stops once a step moves z by at most _OUTER_TOL, but only after a
+    solve at _TOL_FLOOR: an earlier such step re-solves at the floor.
+    Traces the start and every step.
 
     Step 1 starts from x = 0 with a zero subgradient, which is exactly
     gpsr_baseline's l1 solve.  l1_start, if given, must be
@@ -559,39 +522,31 @@ def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
     lam = _lam_max(p.phi)
     alpha0 = 1.0 / lam if lam > 0 else 1.0
 
-    def inner_solve(w, z, tol):
-        nonlocal l1_start
-        if l1_start is not None:
-            step1, l1_start = l1_start, None
-            return step1.split, step1.inner_iters_total
-        return solve_bcqp_gp(p, split_pos_neg(w), z, opts, alpha0=alpha0, tol=tol)
-
-    return _dc_loop(p, split_pos_neg(x0), _unsplit, inner_solve, opts, ground_truth,
-                    _TOL_FLOOR)
-
-
-def dc_proximal(p: SparseProblem, x0: np.ndarray | None = None,
-                opts: SolverOptions | None = None,
-                ground_truth: np.ndarray | None = None) -> ReconResult:
-    """Same DC outer loop as dc_gpsr, inner subproblem solved by proximal gradients.
-
-    The linearized subproblem keeps the l1 term and folds the subgradient
-    into the smooth part h(x) = 0.5 ||y - phi x||^2 - x^T s, s = rho * w;
-    _solve_prox steps at 1/L with L an inflated power-method bound on the
-    curvature of phi^T phi.  The _OUTER_TOL stop is accepted from any step.
-    """
-    opts = SolverOptions() if opts is None else opts
-    x0 = np.zeros(p.phi.n) if x0 is None else _check_signal(x0, p)
-    phi = p.phi.phi
-    pty = phi.T @ p.y
-    L = max(_lam_max(p.phi) * _LIPSCHITZ_MARGIN, 1e-12)
-
-    def inner_solve(w, x, tol):
-        x, inner, _ = _solve_prox(p, pty, p.rho * w, x, L, tol, opts.inner_max)
-        return x, inner
-
-    return _dc_loop(p, x0, lambda x: x, inner_solve, opts, ground_truth,
-                    _PROX_TOL_FLOOR, resolve_at_floor=False)
+    z = split_pos_neg(x0)
+    x = _unsplit(z)
+    trace = SolverTrace()
+    _record(trace, p, x, 0, 0, ground_truth)
+    converged = False
+    at_floor = False
+    for t in range(1, opts.outer_max + 1):
+        tol_t = _TOL_FLOOR if at_floor else max(opts.inner_tol * _TOL_SHRINK ** (t - 1),
+                                                _TOL_FLOOR)
+        if t == 1 and l1_start is not None:
+            z_new, inner = l1_start.split, l1_start.inner_iters_total
+        else:
+            w = top_k1_subgradient(x, p.k).w if x.any() else np.zeros(n)
+            z_new, inner = solve_bcqp_gp(p, split_pos_neg(w), z, opts, alpha0=alpha0,
+                                         tol=tol_t)
+        delta = float(np.linalg.norm(z_new - z))
+        z = z_new
+        x = _unsplit(z)
+        _record(trace, p, x, inner, t, ground_truth)
+        if delta <= _OUTER_TOL:
+            if at_floor or tol_t <= _TOL_FLOOR:
+                converged = True
+                break
+            at_floor = True
+    return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=t)
 
 
 def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
@@ -632,8 +587,8 @@ def ista(p: SparseProblem, x0: np.ndarray | None = None,
          inner_trace: bool = True) -> ReconResult:
     """Iterative shrinkage-thresholding for the l1 problem.
 
-    One _solve_prox pass with a zero subgradient at fixed step 1/L, L a
-    power-method estimate of ||phi^T phi||.  Traces every iteration, or
+    One _solve_prox pass at fixed step 1/L, L a power-method estimate of
+    ||phi^T phi||.  Traces every iteration, or
     with inner_trace=False only the start and end points, as gpsr_baseline.
     """
     opts = SolverOptions() if opts is None else opts
@@ -644,9 +599,8 @@ def ista(p: SparseProblem, x0: np.ndarray | None = None,
     trace = SolverTrace()
     _record(trace, p, x0, 0, 0, ground_truth)
     points = _InnerTrace(trace, p, np.asarray, ground_truth) if inner_trace else None
-    x, inner, converged = _solve_prox(p, phi.T @ p.y, np.zeros(n), x0,
-                                      lam if lam > 0 else 1.0, opts.inner_tol,
-                                      opts.inner_max,
+    x, inner, converged = _solve_prox(p, phi.T @ p.y, x0, lam if lam > 0 else 1.0,
+                                      opts.inner_tol, opts.inner_max,
                                       on_iterate=None if points is None else points.add)
     if points is not None:
         points.finish()

@@ -79,6 +79,17 @@ def test_solve_dimension_mismatch_names_both(instance_dir, capsys):
     assert "10" in err and "12" in err
 
 
+def test_solve_rejects_dc_proximal(instance_dir, capsys):
+    # dc_proximal is not a solver; the usage line lists the four there are.
+    code = cli_main(["solve", "--phi", str(instance_dir / "phi.csv"),
+                     "--y", str(instance_dir / "y.csv"), "--k", "4",
+                     "--solver", "dc_proximal"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'dc_proximal'" in err
+    assert "{dc_gpsr,gpsr,ista,omp}" in err
+
+
 def test_solve_numerical_failure_exit_2(instance_dir, capsys):
     _, y = load_vector_csv(instance_dir / "y.csv")
     y = y.real.copy()

@@ -70,6 +70,12 @@ def test_parse_config_rejects_duplicates_and_garbage():
         parse_config("solvers=gpsr,dc_gpsr,gpsr\n")
 
 
+def test_parse_config_rejects_dc_proximal():
+    with pytest.raises(ConfigError, match=r"unknown solver 'dc_proximal'; choose from "
+                                          r"\['dc_gpsr', 'gpsr', 'ista', 'omp'\]$"):
+        parse_config("solvers=dc_proximal\n")
+
+
 def test_config_validation_field_names():
     with pytest.raises(ConfigError, match="m_measurements"):
         tiny_config(m_measurements=40)  # >= 2 * n_antennas
@@ -192,8 +198,8 @@ def test_run_cell_shares_the_l1_solve_with_dc_gpsr(count_calls):
 def test_snr_sweep_records_equal_full_trace_cells(count_calls):
     # The sweep keeps only the start and end trace points of gpsr and ista;
     # its records must not depend on that.  With these caps dc_gpsr
-    # converges while gpsr, ista, dc_proximal and the noisy omp solves do not.
-    solvers = ("dc_gpsr", "dc_proximal", "gpsr", "ista", "omp")
+    # converges while gpsr, ista and the noisy omp solves do not.
+    solvers = ("dc_gpsr", "gpsr", "ista", "omp")
     cfg = tiny_config(snr_grid_db=(5.0, 25.0), num_samples=2, solvers=solvers,
                       solver_options=SolverOptions(inner_max=60))
     calls = count_calls(dcsparse.solvers, ("objective_exact",))
@@ -214,7 +220,7 @@ def test_snr_sweep_records_equal_full_trace_cells(count_calls):
             for r in cell_records:
                 assert r.converged == results[r.solver_name].converged
             expected.extend(cell_records)
-    assert len(records) == len(expected) == 20
+    assert len(records) == len(expected) == 16
     assert {r.converged for r in records} == {True, False}
     key = lambda r: (r.solver_name, r.snr_db, r.sample_index)  # noqa: E731
     for a, b in zip(records, sorted(expected, key=key)):

@@ -10,13 +10,12 @@ from dcsparse.channel import sample_sparse_channel
 from dcsparse.metrics import normalized_sq_error
 from dcsparse.seeding import derive_seed, make_rng
 from dcsparse.sensing import MeasurementMatrix, gaussian_matrix, measure
-from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TRACE_BATCH,
+from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TOL_FLOOR, _TRACE_BATCH,
                               InstanceTooLarge, NumericalFailure, SolverOptions,
                               SolverTrace, SparseProblem, _power_lam_max, _record,
                               _solve_prox, bcqp_gradient, brute_force_l0, dc_gpsr,
-                              dc_proximal, default_rho, gpsr_baseline, ista,
-                              objective_exact, objective_l1, omp, solve_bcqp_gp,
-                              split_pos_neg)
+                              default_rho, gpsr_baseline, ista, objective_exact,
+                              objective_l1, omp, solve_bcqp_gp, split_pos_neg)
 from dcsparse.sparsity import soft_threshold, top_k1_norm, top_k1_subgradient
 
 
@@ -255,40 +254,15 @@ def test_dc_gpsr_k_equals_dimension_consistent_overdetermined():
     assert np.linalg.norm(p.y - phi.phi @ res.x_hat) <= 1e-8
 
 
+def test_dc_proximal_is_not_exported():
+    assert "dc_proximal" not in dcsparse.__all__
+    assert not hasattr(dcsparse, "dc_proximal")
+
+
 def test_dc_gpsr_rejects_bad_x0():
     p, _ = small_problem(14)
     with pytest.raises(ValueError):
         dc_gpsr(p, x0=np.zeros(5))
-
-
-# -------------------------------------------------------------- dc_proximal
-
-def test_dc_proximal_single_step_is_soft_threshold(monkeypatch):
-    monkeypatch.setattr(dcsparse.solvers, "_LIPSCHITZ_MARGIN", 1.0)
-    phi = MeasurementMatrix(np.eye(4), 4, 4)
-    y = np.array([2.0, -0.3, 0.9, 0.0])
-    p = SparseProblem(y=y, phi=phi, k=2, rho=0.5)
-    opts = SolverOptions(inner_max=1, outer_max=1)
-    res = dc_proximal(p, opts=opts)
-    assert np.allclose(res.x_hat, soft_threshold(y, 0.5), atol=1e-12)
-
-
-def test_dc_proximal_agrees_with_dc_gpsr():
-    worst = 0.0
-    for seed in range(20):
-        p, _ = small_problem(100 + seed, m=16, n=32, k=4)
-        opts = SolverOptions(inner_max=8000, outer_max=60)
-        a = dc_gpsr(p, opts=opts)
-        b = dc_proximal(p, opts=opts)
-        worst = max(worst, float(np.max(np.abs(a.x_hat - b.x_hat))))
-    assert worst <= 1e-6
-
-
-def test_dc_proximal_outer_descent():
-    p, _ = small_problem(15, m=16, n=32, k=4)
-    res = dc_proximal(p)
-    objs = res.trace.outer_objectives
-    assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
 
 # ---------------------------------------------------------- l1-only solvers
@@ -326,6 +300,10 @@ def test_ista_identity_matrix_single_effective_step():
     res = ista(p)
     assert np.allclose(res.x_hat, soft_threshold(y, 0.5), atol=1e-12)
     assert res.converged
+    # The first step lands there: ista steps at 1/L, L the power-method estimate, here 1.
+    first = ista(p, opts=SolverOptions(inner_max=1))
+    assert first.inner_iters_total == 1
+    assert np.allclose(first.x_hat, soft_threshold(y, 0.5), atol=1e-12)
 
 
 def test_ista_matches_gpsr_objective():
@@ -477,6 +455,26 @@ def test_dc_gpsr_solves_step_one_below_the_tolerance_floor(count_calls):
     assert_same_result(resumed, dc_gpsr(p, opts=opts))
 
 
+def test_dc_gpsr_accepts_the_outer_stop_only_after_a_solve_at_the_floor(monkeypatch):
+    # A step that barely moves z before the tolerance schedule reaches
+    # _TOL_FLOOR (at step 10 for inner_tol 1e-8) sends the next solve to
+    # the floor, and only a solve there may end the loop.
+    tols = []
+
+    def recording(*args, tol=None, **kwargs):
+        tols.append(tol)
+        return solve_bcqp_gp(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(dcsparse.solvers, "solve_bcqp_gp", recording)
+    early = 0
+    for p in engine_problems():
+        tols.clear()
+        res = dc_gpsr(p)
+        assert res.converged and tols[-1] == _TOL_FLOOR
+        early += res.outer_iters < 10
+    assert early > 0
+
+
 def test_gpsr_baseline_carries_its_split():
     for p in engine_problems():
         for inner_trace in (True, False):
@@ -492,7 +490,7 @@ def test_power_method_runs_once_per_operator(count_calls):
     p, _ = small_problem(29, m=16, n=32, k=4)
     expected = _power_lam_max(p.phi.phi)
     calls = count_calls(dcsparse.solvers, ("_power_lam_max",))
-    for solver in (dc_gpsr, gpsr_baseline, ista, dc_proximal):
+    for solver in (dc_gpsr, gpsr_baseline, ista):
         solver(p)
     assert calls["_power_lam_max"] == 1
     cached_phi, value = p.phi._lam_max_cache
@@ -505,35 +503,26 @@ def test_power_method_runs_once_per_operator(count_calls):
     assert calls["_power_lam_max"] == 2
 
 
-def test_ista_is_first_dc_proximal_step(monkeypatch):
-    monkeypatch.setattr(dcsparse.solvers, "_LIPSCHITZ_MARGIN", 1.0)
-    for p in engine_problems():
-        a = ista(p)
-        b = dc_proximal(p, opts=SolverOptions(outer_max=1))
-        assert np.array_equal(a.x_hat, b.x_hat)
-        assert a.inner_iters_total == b.inner_iters_total
-        assert a.trace.l1_objectives[-1] == b.trace.l1_objectives[-1]
-
-
 def trace_batches(points):
     """Batches _InnerTrace evaluates for `points` inner iterates: all but the last."""
     return -(-(points - 1) // _TRACE_BATCH) if points else 0
 
 
-@pytest.mark.parametrize("solver, per_iteration",
-                         [(dc_proximal, 2), (ista, 3), (gpsr_baseline, 3)])
-def test_products_per_inner_iteration(solver, per_iteration, monkeypatch):
+@pytest.mark.parametrize("solver, traced, per_iteration",
+                         [(ista, False, 2), (ista, True, 3), (gpsr_baseline, True, 3)],
+                         ids=["ista_compact-2", "ista-3", "gpsr_baseline-3"])
+def test_products_per_inner_iteration(solver, traced, per_iteration, monkeypatch):
     # Each inner step takes two products; gpsr_baseline's loop takes one
-    # more every 64 steps to refresh phi x.  ista and gpsr_baseline trace
-    # every iterate: the final point forms its residual once for both
+    # more every 64 steps to refresh phi x.  A full trace records every
+    # iterate: the final point forms its residual once for both
     # objectives, and the points before it take one product per batch.
     # In batches of one, each point takes its own: per_iteration.
     p, _ = small_problem(19, m=16, n=32, k=4)
-    traced = solver is not dc_proximal
+    solve = functools.partial(solver, inner_trace=traced)
 
     def counts(caps):
-        runs = [counted_products(solver, p, SolverOptions(outer_max=1, inner_max=cap,
-                                                          inner_tol=1e-300))
+        runs = [counted_products(solve, p, SolverOptions(outer_max=1, inner_max=cap,
+                                                         inner_tol=1e-300))
                 for cap in caps]
         assert [r.inner_iters_total for r, _ in runs] == list(caps)
         return [count for _, count in runs]
@@ -810,7 +799,7 @@ def test_batched_trace_points_match_record(solver, l1_iterates):
     assert inner == (0 if solver is gpsr_baseline else 1)
 
 
-def reference_solve_prox(p, pty, s, x, L, tol, inner_max, on_iterate=None):
+def reference_solve_prox(p, pty, x, L, tol, inner_max, on_iterate=None):
     """The proximal-gradient loop as first written, with fresh arrays each step.
 
     Kept as the oracle for _solve_prox, which reuses buffers and must
@@ -820,12 +809,12 @@ def reference_solve_prox(p, pty, s, x, L, tol, inner_max, on_iterate=None):
 
     def objective(x_, fx_):
         r = p.y - fx_
-        return 0.5 * float(r @ r) + p.rho * float(np.abs(x_).sum()) - float(x_ @ s)
+        return 0.5 * float(r @ r) + p.rho * float(np.abs(x_).sum())
 
     fx = phi @ x
     f = objective(x, fx)
     for j in range(1, inner_max + 1):
-        x = soft_threshold(x - (phi.T @ fx - pty - s) / L, p.rho / L)
+        x = soft_threshold(x - (phi.T @ fx - pty) / L, p.rho / L)
         fx = phi @ x
         f_new = objective(x, fx)
         if not np.isfinite(f_new) or not np.all(np.isfinite(x)):
@@ -839,16 +828,14 @@ def reference_solve_prox(p, pty, s, x, L, tol, inner_max, on_iterate=None):
     return x, j, done
 
 
-def assert_prox_same_as_reference(p, s=None, x0=None, tol=1e-8, inner_max=4000):
-    n = p.phi.n
-    s = np.zeros(n) if s is None else s
-    x0 = np.zeros(n) if x0 is None else x0
+def assert_prox_same_as_reference(p, x0=None, tol=1e-8, inner_max=4000):
+    x0 = np.zeros(p.phi.n) if x0 is None else x0
     pty = p.phi.phi.T @ p.y
     L = _power_lam_max(p.phi.phi)
     runs = []
     for solve in (_solve_prox, reference_solve_prox):
         seen = []
-        x, inner, done = solve(p, pty, s, x0, L, tol, inner_max, on_iterate=seen.append)
+        x, inner, done = solve(p, pty, x0, L, tol, inner_max, on_iterate=seen.append)
         runs.append((x, inner, done, seen))
     (x, inner, done, seen), (x_ref, inner_ref, done_ref, seen_ref) = runs
     assert np.array_equal(x, x_ref)
@@ -863,12 +850,10 @@ def test_prox_matches_reference_loop_on_engine_problems():
         assert assert_prox_same_as_reference(p)[0] > 1
 
 
-def test_prox_matches_reference_loop_with_subgradient_and_warm_start():
-    p, x_true = small_problem(20, m=16, n=32, k=4)
-    s = p.rho * top_k1_subgradient(x_true, p.k).w
-    assert assert_prox_same_as_reference(p, s=s)[0] > 1
+def test_prox_matches_reference_loop_with_warm_start():
+    p, _ = small_problem(20, m=16, n=32, k=4)
     x0 = make_rng(8).standard_normal(32)
-    assert assert_prox_same_as_reference(p, s=s, x0=x0)[0] > 1
+    assert assert_prox_same_as_reference(p, x0=x0)[0] > 1
 
 
 def test_prox_matches_reference_loop_degenerate_inputs():
@@ -880,8 +865,7 @@ def test_prox_matches_reference_loop_degenerate_inputs():
 
 
 def test_prox_iterates_are_never_overwritten():
-    p, x_true = small_problem(22, m=16, n=32, k=4)
-    s = p.rho * top_k1_subgradient(x_true, p.k).w
+    p, _ = small_problem(22, m=16, n=32, k=4)
     x0 = make_rng(9).standard_normal(32)
     pty = p.phi.phi.T @ p.y
     L = _power_lam_max(p.phi.phi)
@@ -891,13 +875,13 @@ def test_prox_iterates_are_never_overwritten():
         kept.append(x)
         snapshots.append(x.copy())
 
-    x, inner, _ = _solve_prox(p, pty, s, x0, L, 1e-300, 150, on_iterate=keep)
+    x, inner, _ = _solve_prox(p, pty, x0, L, 1e-300, 150, on_iterate=keep)
     assert inner == len(kept) == 150
     assert x is kept[-1]
-    _solve_prox(p, pty, s, x0, L, 1e-300, 150)  # a later call
+    _solve_prox(p, pty, x0, L, 1e-300, 150)  # a later call
     for i, xk in enumerate(kept):
         assert np.array_equal(xk, snapshots[i])
-        assert not np.shares_memory(xk, x0) and not np.shares_memory(xk, s)
+        assert not np.shares_memory(xk, x0)
         if i:
             assert not np.shares_memory(xk, kept[i - 1])
 
