@@ -1,32 +1,19 @@
-"""Massive-MIMO channel generation in spatial and angular domains.
+"""Massive-MIMO angular-domain channel generation on the DFT grid.
 
 A uniform linear array with half-wavelength spacing sees each propagation
 path as a complex sinusoid across its elements.  The unitary DFT matrix
 built from the array's orthogonal steering directions maps the spatial
 channel to the angular domain, where scattering is concentrated in a few
-bins; stacking real and imaginary parts of that angular vector yields the
-real sparse vector the recovery solvers work on.
+bins.  sample_sparse_channel draws such a sparse angular channel on that
+grid, maps it back to the array, and stacks the real and imaginary parts
+of the angular vector into the real sparse vector the solvers work on.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import as_generator
-
-
-@dataclass
-class PathSpec:
-    """One propagation path: complex gain and spatial direction in [-1/2, 1/2]."""
-
-    gain: complex
-    spatial_direction: float
-
-    def __post_init__(self):
-        if not -0.5 <= self.spatial_direction <= 0.5:
-            raise ValueError(
-                f"spatial_direction must lie in [-0.5, 0.5], got {self.spatial_direction}"
-            )
+from .seeding import make_rng
 
 
 @dataclass
@@ -35,61 +22,28 @@ class ChannelSample:
 
     x_real stacks [Re(h_angular); Im(h_angular)] and is what the solvers
     reconstruct.  `sparsity` counts nonzero complex angular entries; seed
-    is recorded when the sample was drawn from an integer seed.
+    is the integer seed the sample was drawn from.
     """
 
     h_spatial: np.ndarray
     h_angular: np.ndarray
     x_real: np.ndarray
     sparsity: int
-    seed: int | None = None
-
-
-def steering_vector(phi: float, n: int) -> np.ndarray:
-    """Unit-norm array response for spatial direction ``phi`` on ``n`` antennas.
-
-    Element i is (1/sqrt(n)) * exp(-j*2*pi*phi*i).
-    """
-    if n < 1:
-        raise ValueError(f"antenna count must be >= 1, got {n}")
-    if not -0.5 <= phi <= 0.5:
-        raise ValueError(f"spatial direction must lie in [-0.5, 0.5], got {phi}")
-    return np.exp(-2j * np.pi * phi * np.arange(n)) / np.sqrt(n)
-
-
-def spatial_channel(paths: list[PathSpec], n: int) -> np.ndarray:
-    """Multipath spatial channel: sqrt(n / n_paths) * sum of gain-weighted steering vectors."""
-    if not paths:
-        raise ValueError("paths must be nonempty")
-    acc = np.zeros(n, dtype=complex)
-    for p in paths:
-        acc += p.gain * steering_vector(p.spatial_direction, n)
-    return np.sqrt(n / len(paths)) * acc
+    seed: int
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix whose rows are conjugated steering vectors.
+    """Unitary DFT matrix whose rows are conjugated array responses.
 
-    Row i (1-based) is the conjugate transpose of the steering vector at
-    direction (i - (n+1)/2) / n, the grid of an n-element half-wavelength
-    array.  Satisfies U @ U^H = I.
+    Row i (1-based) holds exp(2j*pi*phi_i*l) / sqrt(n), l = 0..n-1: the
+    conjugate of the half-wavelength array's response to direction
+    phi_i = (i - (n+1)/2) / n, the grid of an n-element array.  Satisfies
+    U @ U^H = I.
     """
     if n < 1:
         raise ValueError(f"antenna count must be >= 1, got {n}")
     phis = (np.arange(1, n + 1) - (n + 1) / 2) / n
     return np.exp(2j * np.pi * np.outer(phis, np.arange(n))) / np.sqrt(n)
-
-
-def to_angular(h_spatial: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Transform a spatial channel into the angular domain: u @ h_spatial."""
-    h_spatial = np.asarray(h_spatial)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"transform matrix must be square, got shape {u.shape}")
-    if h_spatial.shape != (u.shape[1],):
-        raise ValueError(
-            f"channel has length {h_spatial.shape[0]} but transform is {u.shape[0]}x{u.shape[1]}"
-        )
-    return u @ h_spatial
 
 
 def concat_real(h_angular: np.ndarray) -> np.ndarray:
@@ -98,27 +52,18 @@ def concat_real(h_angular: np.ndarray) -> np.ndarray:
     return np.concatenate([h.real, h.imag])
 
 
-def split_complex(x_real: np.ndarray) -> np.ndarray:
-    """Inverse of concat_real: re-pair the two halves into a complex vector."""
-    x_real = np.asarray(x_real, dtype=float)
-    if x_real.size % 2 != 0:
-        raise ValueError(f"stacked real vector must have even length, got {x_real.size}")
-    n = x_real.size // 2
-    return x_real[:n] + 1j * x_real[n:]
-
-
-def sample_sparse_channel(n: int, sparsity: int, rng) -> ChannelSample:
+def sample_sparse_channel(n: int, sparsity: int, seed: int) -> ChannelSample:
     """Draw a synthetic K-sparse angular channel and its spatial counterpart.
 
     The support is a uniform random choice of `sparsity` distinct bins and
     the nonzero gains are circularly-symmetric complex standard normal.
     Components that come out exactly 0.0 are redrawn so the stacked real
-    vector always has exactly 2 * sparsity nonzeros.  Deterministic when
-    `rng` is an integer seed.
+    vector always has exactly 2 * sparsity nonzeros.  Deterministic in the
+    integer `seed`.
     """
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must lie in [1, {n}], got {sparsity}")
-    gen, seed = as_generator(rng)
+    gen = make_rng(seed)
     support = np.sort(gen.choice(n, size=sparsity, replace=False))
     re = gen.standard_normal(sparsity)
     im = gen.standard_normal(sparsity)
@@ -136,5 +81,5 @@ def sample_sparse_channel(n: int, sparsity: int, rng) -> ChannelSample:
         h_angular=h_angular,
         x_real=concat_real(h_angular),
         sparsity=sparsity,
-        seed=seed,
+        seed=int(seed),
     )

@@ -85,7 +85,7 @@ def load_matrix(path) -> MeasurementMatrix:
     seed = None
     if sidecar_path.exists():
         seed = json.loads(sidecar_path.read_text()).get("seed")
-    return MeasurementMatrix(phi=phi, m=phi.shape[0], n=phi.shape[1], seed=seed)
+    return MeasurementMatrix(phi, seed=seed)
 
 
 TRACE_HEADER = "outer_iter,inner_iter_cumulative,F,l1_objective,normalized_sq_error"

@@ -1,10 +1,10 @@
 """Deterministic random number generation.
 
 Every stochastic operation in this package draws from numpy's PCG64
-generator and takes the generator (or an integer seed for it) as an
-explicit argument; nothing touches global RNG state.  Sub-seeds for
-independent benchmark cells are derived with splitmix64 mixing so that
-adding cells to an experiment never perturbs existing ones.
+generator and takes an integer seed for it as an explicit argument;
+nothing touches global RNG state.  Sub-seeds for independent benchmark
+cells are derived with splitmix64 mixing so that adding cells to an
+experiment never perturbs existing ones.
 """
 
 import numpy as np
@@ -34,18 +34,7 @@ def derive_seed(base_seed: int, *parts: int) -> int:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator for a 64-bit seed."""
+    """PCG64 generator for a 64-bit integer seed; any other type raises TypeError."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-
-
-def as_generator(rng):
-    """Accept an integer seed or a ready Generator.
-
-    Returns (generator, seed) where seed is None when a Generator was
-    passed directly (the caller already owns the seed in that case).
-    """
-    if isinstance(rng, np.random.Generator):
-        return rng, None
-    if isinstance(rng, (int, np.integer)):
-        return make_rng(int(rng)), int(rng)
-    raise TypeError(f"rng must be an int seed or numpy Generator, got {type(rng).__name__}")

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import as_generator
+from .seeding import make_rng
 
 
 # Byte boundary the operator's storage starts on.  With AVX-512 OpenBLAS
@@ -31,10 +31,11 @@ def _cache_aligned(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MeasurementMatrix:
-    """Dense real measurement operator with its dimensions and draw seed.
+    """Dense real measurement operator with its draw seed.
 
-    A C-ordered phi is stored starting on a 64-byte boundary (copied if
-    needed), which speeds up the solvers' matrix-vector products.
+    m and n read phi's shape, which must be 2-D and nonempty.  A C-ordered
+    phi is stored starting on a 64-byte boundary (copied if needed), which
+    speeds up the solvers' matrix-vector products.
 
     The solvers keep their power-method estimate of ||phi^T phi|| as
     (phi, value) in _lam_max_cache and reuse it only while phi is that
@@ -42,29 +43,30 @@ class MeasurementMatrix:
     """
 
     phi: np.ndarray
-    m: int
-    n: int
-    seed: int | None = None
+    seed: int | None = field(default=None, kw_only=True)
     _lam_max_cache: tuple | None = field(default=None, init=False, repr=False,
                                          compare=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"matrix dimensions must be >= 1, got {self.m}x{self.n}")
-        if self.phi.shape != (self.m, self.n):
-            raise ValueError(
-                f"phi has shape {self.phi.shape}, expected ({self.m}, {self.n})"
-            )
+        if self.phi.ndim != 2 or self.phi.size == 0:
+            raise ValueError(f"phi must be a nonempty 2-D array, got shape {self.phi.shape}")
         self.phi = _cache_aligned(self.phi)
 
+    @property
+    def m(self) -> int:
+        return self.phi.shape[0]
 
-def gaussian_matrix(m: int, n: int, rng) -> MeasurementMatrix:
-    """Draw an m x n matrix with i.i.d. standard normal entries."""
+    @property
+    def n(self) -> int:
+        return self.phi.shape[1]
+
+
+def gaussian_matrix(m: int, n: int, seed: int) -> MeasurementMatrix:
+    """Draw an m x n matrix with i.i.d. standard normal entries from an integer seed."""
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {m}x{n}")
-    gen, seed = as_generator(rng)
-    return MeasurementMatrix(phi=gen.standard_normal((m, n)), m=m, n=n, seed=seed)
+    return MeasurementMatrix(make_rng(seed).standard_normal((m, n)), seed=int(seed))
 
 
 def measure(phi: MeasurementMatrix, x: np.ndarray) -> np.ndarray:
@@ -88,12 +90,14 @@ def snr_to_sigma(x: np.ndarray, m: int, snr_db: float) -> float:
     return float(np.sqrt(energy / (m * 10.0 ** (snr_db / 10.0))))
 
 
-def add_noise(y: np.ndarray, sigma: float, rng) -> np.ndarray:
-    """y plus i.i.d. N(0, sigma^2) noise, as a new array; sigma == 0 returns a copy of y."""
+def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """y plus i.i.d. N(0, sigma^2) noise drawn from an integer seed, as a new array.
+
+    sigma == 0 returns a copy of y.
+    """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     y = np.asarray(y, dtype=float)
     if sigma == 0:
         return y.copy()
-    gen, _ = as_generator(rng)
-    return y + sigma * gen.standard_normal(y.size)
+    return y + sigma * make_rng(seed).standard_normal(y.size)

@@ -248,8 +248,8 @@ def bcqp_gradient(z: np.ndarray, p: SparseProblem, w_z: np.ndarray) -> np.ndarra
 
 
 def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
-                  opts: SolverOptions | None = None, alpha0: float | None = None,
-                  tol: float | None = None, on_iterate=None):
+                  opts: SolverOptions | None = None, tol: float | None = None,
+                  on_iterate=None):
     """Projected-gradient solver for min G(z) = 0.5 z^T B z + c^T z over z >= 0.
 
     Each step projects a Barzilai-Borwein gradient step onto the
@@ -287,10 +287,8 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
 
     c = _bcqp_linear_term(p, w_z)
     c_u, c_v = c[:n], c[n:]
-    if alpha0 is None:
-        lam = _lam_max(p.phi)
-        alpha0 = 1.0 / lam if lam > 0 else 1.0
-    alpha = min(max(float(alpha0), _ALPHA_MIN), _ALPHA_MAX)
+    lam = _lam_max(p.phi)
+    alpha = min(max(1.0 / lam if lam > 0 else 1.0, _ALPHA_MIN), _ALPHA_MAX)
 
     grad = np.empty(2 * n)
     zh = np.empty(2 * n)
@@ -460,7 +458,8 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
     np.abs(x, out=mag)
     f = objective(fx)
     for j in range(1, inner_max + 1):
-        # x = soft_threshold(x - (phi^T fx - pty) / L, rho / L), in that order.
+        # x = sign(a) * max(|a| - rho / L, 0) with a = x - (phi^T fx - pty) / L,
+        # in that order.
         g = phi.T @ fx
         np.subtract(g, pty, out=g)
         np.divide(g, L, out=g)
@@ -519,9 +518,6 @@ def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
         if opts.inner_tol < _TOL_FLOOR:
             l1_start = None
     x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
-    lam = _lam_max(p.phi)
-    alpha0 = 1.0 / lam if lam > 0 else 1.0
-
     z = split_pos_neg(x0)
     x = _unsplit(z)
     trace = SolverTrace()
@@ -535,8 +531,7 @@ def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
             z_new, inner = l1_start.split, l1_start.inner_iters_total
         else:
             w = top_k1_subgradient(x, p.k).w if x.any() else np.zeros(n)
-            z_new, inner = solve_bcqp_gp(p, split_pos_neg(w), z, opts, alpha0=alpha0,
-                                         tol=tol_t)
+            z_new, inner = solve_bcqp_gp(p, split_pos_neg(w), z, opts, tol=tol_t)
         delta = float(np.linalg.norm(z_new - z))
         z = z_new
         x = _unsplit(z)

@@ -16,7 +16,6 @@ class SubgradientVector:
     """A subgradient of the top-(k,1) norm: entries in {-1, 0, +1}, sum of |w| equals k."""
 
     w: np.ndarray
-    k: int
 
 
 def _check_k(x: np.ndarray, k: int) -> np.ndarray:
@@ -27,18 +26,8 @@ def _check_k(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _top_k_indices(magnitudes: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest values; ties at the boundary go to the lowest index.
-
-    Uses a partial selection, O(n) on average rather than a full sort.
-    """
-    n = magnitudes.size
-    if k == n:
-        return np.arange(n)
-    boundary = np.partition(magnitudes, n - k)[n - k]
-    selected = np.flatnonzero(magnitudes > boundary)
-    missing = k - selected.size
-    ties = np.flatnonzero(magnitudes == boundary)[:missing]
-    return np.concatenate([selected, ties])
+    """Indices of the k largest values; ties at the boundary go to the lowest index."""
+    return np.argsort(-magnitudes, kind="stable")[:k]
 
 
 def _top_k_sum(magnitudes: np.ndarray, k: int) -> float:
@@ -74,7 +63,7 @@ def top_k1_subgradient(x: np.ndarray, k: int) -> SubgradientVector:
     signs = np.sign(x[sel])
     signs[signs == 0] = 1.0
     w[sel] = signs
-    return SubgradientVector(w=w, k=k)
+    return SubgradientVector(w=w)
 
 
 def split_pos_neg(x: np.ndarray) -> np.ndarray:
@@ -90,12 +79,3 @@ def project_nonneg(z: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the nonnegative orthant."""
     return np.maximum(np.asarray(z, dtype=float), 0.0)
 
-
-def soft_threshold(a, lam: float):
-    """Shrink toward zero by lam: sign(a) * max(|a| - lam, 0).
-
-    Works on scalars or elementwise on arrays.
-    """
-    if lam < 0:
-        raise ValueError(f"threshold must be >= 0, got {lam}")
-    return np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)

@@ -1,63 +1,10 @@
 import numpy as np
 import pytest
 
-from dcsparse.channel import (PathSpec, concat_real, dft_matrix,
-                              sample_sparse_channel, spatial_channel,
-                              split_complex, steering_vector, to_angular)
+import dcsparse
+import dcsparse.channel
+from dcsparse.channel import concat_real, dft_matrix, sample_sparse_channel
 from dcsparse.seeding import make_rng
-
-
-def test_steering_vector_zero_direction():
-    v = steering_vector(0.0, 4)
-    assert np.allclose(v, 0.5 * np.ones(4))
-
-
-def test_steering_vector_half_wavelength():
-    v = steering_vector(0.5, 2)
-    assert np.allclose(v, np.array([1.0, -1.0]) / np.sqrt(2))
-
-
-def test_steering_vector_quarter_direction():
-    v = steering_vector(0.25, 2)
-    assert np.allclose(v, np.array([1.0, -1.0j]) / np.sqrt(2))
-
-
-def test_steering_vector_unit_norm():
-    for phi in (-0.5, -0.17, 0.0, 0.33, 0.5):
-        assert np.linalg.norm(steering_vector(phi, 9)) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_steering_vector_rejects_bad_args():
-    with pytest.raises(ValueError):
-        steering_vector(0.0, 0)
-    with pytest.raises(ValueError):
-        steering_vector(0.75, 4)
-
-
-def test_pathspec_direction_bounds():
-    PathSpec(gain=1.0, spatial_direction=0.5)
-    with pytest.raises(ValueError):
-        PathSpec(gain=1.0, spatial_direction=0.51)
-
-
-def test_spatial_channel_single_path():
-    h = spatial_channel([PathSpec(1.0, 0.0)], 4)
-    assert np.allclose(h, np.ones(4))
-
-
-def test_spatial_channel_cancellation():
-    paths = [PathSpec(1.0, 0.0), PathSpec(-1.0, 0.0)]
-    assert np.allclose(spatial_channel(paths, 2), 0.0)
-
-
-def test_spatial_channel_gain_scaling():
-    h = spatial_channel([PathSpec(2.0, 0.5)], 2)
-    assert np.allclose(h, np.array([2.0, -2.0]))
-
-
-def test_spatial_channel_rejects_empty():
-    with pytest.raises(ValueError):
-        spatial_channel([], 4)
 
 
 def test_dft_matrix_degenerate():
@@ -81,41 +28,6 @@ def test_dft_matrix_rejects_zero():
         dft_matrix(0)
 
 
-def test_to_angular_identity_at_n1():
-    assert to_angular(np.array([3 + 4j]), dft_matrix(1))[0] == pytest.approx(3 + 4j)
-
-
-def test_to_angular_grid_aligned_path():
-    # A channel built from one conjugated grid row lands in a single angular bin.
-    n, i, c = 8, 3, 2.5 - 1.0j
-    u = dft_matrix(n)
-    e = np.zeros(n, dtype=complex)
-    e[i] = c
-    h = u.conj().T @ e
-    out = to_angular(h, u)
-    assert np.allclose(out, e, atol=1e-12)
-
-
-def test_to_angular_energy_conservation():
-    rng = make_rng(5)
-    u = dft_matrix(8)
-    h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.linalg.norm(to_angular(h, u)) == pytest.approx(np.linalg.norm(h), rel=1e-12)
-
-
-def test_to_angular_round_trip():
-    rng = make_rng(6)
-    u = dft_matrix(16)
-    h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    back = u.conj().T @ to_angular(h, u)
-    assert np.linalg.norm(back - h) <= 1e-12 * np.linalg.norm(h)
-
-
-def test_to_angular_dimension_mismatch():
-    with pytest.raises(ValueError):
-        to_angular(np.ones(3, dtype=complex), dft_matrix(4))
-
-
 def test_concat_real_basic():
     assert np.array_equal(concat_real(np.array([1 + 2j])), np.array([1.0, 2.0]))
 
@@ -132,12 +44,8 @@ def test_concat_real_mixed():
 def test_concat_real_round_trip_bit_exact():
     rng = make_rng(7)
     h = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    assert np.array_equal(split_complex(concat_real(h)), h)
-
-
-def test_split_complex_rejects_odd_length():
-    with pytest.raises(ValueError):
-        split_complex(np.ones(5))
+    x = concat_real(h)
+    assert np.array_equal(x[:12] + 1j * x[12:], h)
 
 
 def test_sample_sparse_channel_nonzero_count():
@@ -186,7 +94,15 @@ def test_sample_sparse_channel_rejects_bad_sparsity():
         sample_sparse_channel(8, 0, 0)
 
 
-def test_sample_sparse_channel_accepts_generator():
-    s = sample_sparse_channel(16, 2, make_rng(5))
-    assert s.seed is None
-    assert np.count_nonzero(s.h_angular) == 2
+def test_sample_sparse_channel_rejects_generator():
+    # Seeds are integers; a ready Generator is not an accepted input.
+    with pytest.raises(TypeError):
+        sample_sparse_channel(16, 2, make_rng(5))
+
+
+@pytest.mark.parametrize("name", ["PathSpec", "steering_vector", "spatial_channel",
+                                  "to_angular", "split_complex"])
+def test_off_grid_channel_model_is_gone(name):
+    # The generator draws on the DFT grid; the off-grid multipath model is not shipped.
+    assert name not in dcsparse.__all__
+    assert not hasattr(dcsparse, name) and not hasattr(dcsparse.channel, name)

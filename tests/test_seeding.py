@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dcsparse.seeding import as_generator, derive_seed, make_rng
+import dcsparse
+import dcsparse.seeding
+from dcsparse.seeding import derive_seed, make_rng
 
 
 def test_derive_seed_deterministic():
@@ -27,18 +29,19 @@ def test_make_rng_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_as_generator_records_seed():
-    gen, seed = as_generator(99)
-    assert seed == 99
+def test_make_rng_accepts_numpy_integers():
+    gen = make_rng(np.int64(99))
     assert isinstance(gen, np.random.Generator)
+    assert np.array_equal(gen.standard_normal(3), make_rng(99).standard_normal(3))
 
 
-def test_as_generator_passthrough():
-    g = make_rng(1)
-    gen, seed = as_generator(g)
-    assert gen is g and seed is None
+def test_make_rng_rejects_non_integer_seeds():
+    for seed in ("42", 4.0, None, make_rng(1)):
+        with pytest.raises(TypeError):
+            make_rng(seed)
 
 
-def test_as_generator_rejects_other_types():
-    with pytest.raises(TypeError):
-        as_generator("42")
+def test_as_generator_is_gone():
+    assert "as_generator" not in dcsparse.__all__
+    assert not hasattr(dcsparse, "as_generator")
+    assert not hasattr(dcsparse.seeding, "as_generator")

@@ -34,8 +34,28 @@ def test_gaussian_matrix_rejects_zero_dims():
 
 
 def test_measurement_matrix_validates_shape():
-    with pytest.raises(ValueError):
-        MeasurementMatrix(phi=np.ones((2, 3)), m=3, n=2)
+    for phi in (np.ones(3), np.ones((2, 3, 1)), np.ones((0, 3)), np.ones((3, 0)), 1.0):
+        with pytest.raises(ValueError, match="nonempty 2-D"):
+            MeasurementMatrix(phi)
+
+
+def test_measurement_matrix_dimensions_are_phi_shape():
+    mm = MeasurementMatrix(np.eye(3, 5))
+    assert (mm.m, mm.n, mm.seed) == (3, 5, None)
+    # The seed is keyword-only: a positional dimension is not taken for it.
+    with pytest.raises(TypeError):
+        MeasurementMatrix(np.eye(3, 5), 3)
+    with pytest.raises(AttributeError):
+        mm.m = 4
+    mm.phi = np.eye(2, 4)
+    assert (mm.m, mm.n) == (2, 4)
+
+
+def test_generators_reject_a_ready_generator():
+    with pytest.raises(TypeError):
+        gaussian_matrix(3, 4, make_rng(1))
+    with pytest.raises(TypeError):
+        add_noise(np.zeros(3), 0.5, make_rng(1))
 
 
 def test_measurement_matrix_storage_is_cache_aligned():
@@ -44,15 +64,15 @@ def test_measurement_matrix_storage_is_cache_aligned():
     for offset in (0, 1):
         misplaced = buf[offset:offset + raw.size].reshape(5, 7)
         misplaced[...] = raw
-        mm = MeasurementMatrix(misplaced, 5, 7)
+        mm = MeasurementMatrix(misplaced)
         assert mm.phi.ctypes.data % 64 == 0
         assert np.array_equal(mm.phi, raw)
     fortran = np.asfortranarray(raw)
-    assert MeasurementMatrix(fortran, 5, 7).phi is fortran
+    assert MeasurementMatrix(fortran).phi is fortran
 
 
 def test_measure_identity():
-    phi = MeasurementMatrix(np.eye(5), 5, 5)
+    phi = MeasurementMatrix(np.eye(5))
     x = np.arange(5.0)
     assert np.array_equal(measure(phi, x), x)
 

@@ -16,7 +16,12 @@ from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TOL_FLOOR, _TRACE_BATCH,
                               _solve_prox, bcqp_gradient, brute_force_l0, dc_gpsr,
                               default_rho, gpsr_baseline, ista, objective_exact,
                               objective_l1, omp, solve_bcqp_gp, split_pos_neg)
-from dcsparse.sparsity import soft_threshold, top_k1_norm, top_k1_subgradient
+from dcsparse.sparsity import top_k1_norm, top_k1_subgradient
+
+
+def soft_threshold(a, lam):
+    """Reference shrinkage toward zero by lam: sign(a) * max(|a| - lam, 0)."""
+    return np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
 
 
 def small_problem(seed, m=8, n=12, k=2, rho=None, x_true=None):
@@ -115,7 +120,7 @@ def test_bcqp_gradient_matches_finite_differences():
 
 
 def test_bcqp_gradient_all_data_terms_vanish():
-    phi = MeasurementMatrix(np.zeros((3, 4)) + np.eye(3, 4), 3, 4)
+    phi = MeasurementMatrix(np.zeros((3, 4)) + np.eye(3, 4))
     p = SparseProblem(y=np.zeros(3), phi=phi, k=2, rho=0.7)
     grad = bcqp_gradient(np.zeros(8), p, np.zeros(8))
     assert np.allclose(grad, 0.7 * np.ones(8))
@@ -150,7 +155,7 @@ def test_bcqp_corner_optimum_returns_immediately():
 
 
 def test_bcqp_tiny_instance_projected_gradient_residual():
-    phi = MeasurementMatrix(np.array([[1.0]]), 1, 1)
+    phi = MeasurementMatrix(np.array([[1.0]]))
     p = SparseProblem(y=np.array([2.0]), phi=phi, k=1, rho=0.1)
     w_z = np.array([1.0, 0.0])
     opts = SolverOptions(inner_tol=1e-300, inner_max=5000)
@@ -196,6 +201,13 @@ def test_bcqp_iterates_feasible_monotone_and_safeguarded():
     assert all(_ALPHA_MIN <= a <= _ALPHA_MAX for a in alphas)
 
 
+def test_bcqp_has_no_initial_step_parameter():
+    # The first step is always 1 / ||phi^T phi|| from the operator's cached estimate.
+    p, _ = small_problem(7)
+    with pytest.raises(TypeError):
+        solve_bcqp_gp(p, np.zeros(2 * p.phi.n), np.zeros(2 * p.phi.n), alpha0=1.0)
+
+
 def test_bcqp_rejects_negative_start():
     p, _ = small_problem(12)
     z0 = np.zeros(24)
@@ -215,7 +227,7 @@ def test_bcqp_nonfinite_raises_numerical_failure():
 # ------------------------------------------------------------------ dc_gpsr
 
 def test_dc_gpsr_identity_measurement_fixed_point():
-    phi = MeasurementMatrix(np.eye(8), 8, 8)
+    phi = MeasurementMatrix(np.eye(8))
     y = np.zeros(8)
     y[[1, 5, 6]] = [2.0, -3.0, 0.4]
     p = SparseProblem(y=y, phi=phi, k=3, rho=0.05)
@@ -294,7 +306,7 @@ def test_ista_fixed_point_characterization():
 
 
 def test_ista_identity_matrix_single_effective_step():
-    phi = MeasurementMatrix(np.eye(5), 5, 5)
+    phi = MeasurementMatrix(np.eye(5))
     y = np.array([2.0, -0.4, 0.0, 1.2, -3.0])
     p = SparseProblem(y=y, phi=phi, k=2, rho=0.5)
     res = ista(p)
@@ -398,7 +410,7 @@ def test_dc_gpsr_resumed_from_gpsr_is_dc_gpsr():
     assert assert_resumed_dc_gpsr_is_dc_gpsr(q, ground_truth=x_true) == 0
     y = np.zeros(8)
     y[[1, 5, 6]] = [2.0, -3.0, 0.4]
-    eye = SparseProblem(y=y, phi=MeasurementMatrix(np.eye(8), 8, 8), k=3, rho=0.05)
+    eye = SparseProblem(y=y, phi=MeasurementMatrix(np.eye(8)), k=3, rho=0.05)
     assert assert_resumed_dc_gpsr_is_dc_gpsr(eye) > 0
 
 
@@ -509,14 +521,17 @@ def trace_batches(points):
 
 
 @pytest.mark.parametrize("solver, traced, per_iteration",
-                         [(ista, False, 2), (ista, True, 3), (gpsr_baseline, True, 3)],
-                         ids=["ista_compact-2", "ista-3", "gpsr_baseline-3"])
+                         [(ista, False, 2), (ista, True, 3), (gpsr_baseline, False, 2),
+                          (gpsr_baseline, True, 3)],
+                         ids=["ista_compact-2", "ista-3", "gpsr_baseline_compact-2",
+                              "gpsr_baseline-3"])
 def test_products_per_inner_iteration(solver, traced, per_iteration, monkeypatch):
     # Each inner step takes two products; gpsr_baseline's loop takes one
-    # more every 64 steps to refresh phi x.  A full trace records every
-    # iterate: the final point forms its residual once for both
-    # objectives, and the points before it take one product per batch.
-    # In batches of one, each point takes its own: per_iteration.
+    # more every 64 steps to refresh phi x.  Without a full trace nothing
+    # else is evaluated per step.  A full trace records every iterate: the
+    # final point forms its residual once for both objectives, and the
+    # points before it take one product per batch.  In batches of one,
+    # each point takes its own: per_iteration.
     p, _ = small_problem(19, m=16, n=32, k=4)
     solve = functools.partial(solver, inner_trace=traced)
 
@@ -540,8 +555,7 @@ def test_products_per_inner_iteration(solver, traced, per_iteration, monkeypatch
     assert longer - short == 10 * per_iteration
 
 
-def reference_solve_bcqp_gp(p, w_z, z0, opts=None, alpha0=None, tol=None,
-                            on_iterate=None):
+def reference_solve_bcqp_gp(p, w_z, z0, opts=None, tol=None, on_iterate=None):
     """The projected-gradient loop as first written, with fresh arrays each step.
 
     Kept as the oracle for solve_bcqp_gp, which reuses buffers and must
@@ -561,10 +575,8 @@ def reference_solve_bcqp_gp(p, w_z, z0, opts=None, alpha0=None, tol=None,
     z = np.asarray(z0, dtype=float).copy()
     pty = phi.T @ p.y
     c = np.concatenate([-pty, pty]) + p.rho * (1.0 - w_z)
-    if alpha0 is None:
-        lam = _power_lam_max(phi)
-        alpha0 = 1.0 / lam if lam > 0 else 1.0
-    alpha = float(np.clip(alpha0, _ALPHA_MIN, _ALPHA_MAX))
+    lam = _power_lam_max(phi)
+    alpha = float(np.clip(1.0 / lam if lam > 0 else 1.0, _ALPHA_MIN, _ALPHA_MAX))
 
     fx = phi @ unsplit(z)
     grad = grad_of(fx)
@@ -647,7 +659,7 @@ def test_bcqp_matches_reference_loop_degenerate_inputs():
     assert assert_same_as_reference(p, np.zeros(20), np.zeros(20)) == 0
     y = np.zeros(8)
     y[[1, 5, 6]] = [2.0, -3.0, 0.4]
-    p = SparseProblem(y=y, phi=MeasurementMatrix(np.eye(8), 8, 8), k=3, rho=0.05)
+    p = SparseProblem(y=y, phi=MeasurementMatrix(np.eye(8)), k=3, rho=0.05)
     assert assert_same_as_reference(p, np.zeros(16), np.zeros(16)) > 0
 
 
@@ -683,18 +695,6 @@ def test_bcqp_iterates_are_never_overwritten():
     z0 = np.zeros(64)
     z, inner = solve_bcqp_gp(q, np.zeros(64), z0)
     assert inner == 0 and not np.shares_memory(z, z0)
-
-
-@pytest.mark.parametrize("solver", [gpsr_baseline, ista])
-def test_l1_solvers_without_inner_trace_take_two_products_per_iteration(solver):
-    # Without per-iteration trace points only the two products of each
-    # inner step remain.
-    p, _ = small_problem(19, m=16, n=32, k=4)
-    untraced = functools.partial(solver, inner_trace=False)
-    runs = [counted_products(untraced, p, SolverOptions(outer_max=1, inner_max=cap))
-            for cap in (5, 15)]
-    assert [r.inner_iters_total for r, _ in runs] == [5, 15]
-    assert runs[1][1] - runs[0][1] == 10 * 2
 
 
 def assert_compact_trace_is_full_trace_ends(solver, p, opts=None, ground_truth=None):
@@ -949,7 +949,7 @@ def test_omp_k_range_validation():
 
 
 def test_omp_rank_deficient_matrix_raises():
-    phi = MeasurementMatrix(np.zeros((3, 4)), 3, 4)
+    phi = MeasurementMatrix(np.zeros((3, 4)))
     with pytest.raises(NumericalFailure):
         omp(np.array([1.0, 1.0, 0.0]), phi, 2)
 

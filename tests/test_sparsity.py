@@ -3,9 +3,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+import dcsparse
+import dcsparse.sparsity
 from dcsparse.seeding import make_rng
-from dcsparse.sparsity import (project_nonneg, soft_threshold, sparsity_gap,
-                               split_pos_neg, top_k1_norm, top_k1_subgradient)
+from dcsparse.sparsity import (project_nonneg, sparsity_gap, split_pos_neg,
+                               top_k1_norm, top_k1_subgradient)
 
 
 def test_top_k1_norm_basic():
@@ -152,17 +154,9 @@ def test_project_nonneg_nonexpansive():
                 <= np.linalg.norm(a - b) + 1e-15)
 
 
-def test_soft_threshold_scalar():
-    assert soft_threshold(3.0, 1.0) == pytest.approx(2.0)
-    assert soft_threshold(-0.5, 1.0) == 0.0
-    assert soft_threshold(-1.7, 0.0) == pytest.approx(-1.7)
 
-
-def test_soft_threshold_elementwise():
-    out = soft_threshold(np.array([3.0, -0.5, -2.0]), 1.0)
-    assert np.allclose(out, np.array([2.0, 0.0, -1.0]))
-
-
-def test_soft_threshold_rejects_negative_lambda():
-    with pytest.raises(ValueError):
-        soft_threshold(1.0, -0.5)
+def test_soft_threshold_is_not_exported():
+    # ista's proximal loop inlines the shrinkage; there is no public helper.
+    assert "soft_threshold" not in dcsparse.__all__
+    assert not hasattr(dcsparse, "soft_threshold")
+    assert not hasattr(dcsparse.sparsity, "soft_threshold")
