@@ -697,6 +697,18 @@ def test_bcqp_iterates_are_never_overwritten():
     assert inner == 0 and not np.shares_memory(z, z0)
 
 
+@pytest.mark.parametrize("solver", [gpsr_baseline, ista])
+def test_l1_solvers_without_inner_trace_take_two_products_per_iteration(solver):
+    # Without per-iteration trace points only the two products of each
+    # inner step remain.
+    p, _ = small_problem(19, m=16, n=32, k=4)
+    untraced = functools.partial(solver, inner_trace=False)
+    runs = [counted_products(untraced, p, SolverOptions(outer_max=1, inner_max=cap))
+            for cap in (5, 15)]
+    assert [r.inner_iters_total for r, _ in runs] == [5, 15]
+    assert runs[1][1] - runs[0][1] == 10 * 2
+
+
 def assert_compact_trace_is_full_trace_ends(solver, p, opts=None, ground_truth=None):
     full = solver(p, opts=opts, ground_truth=ground_truth)
     compact = solver(p, opts=opts, ground_truth=ground_truth, inner_trace=False)
