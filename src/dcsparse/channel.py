@@ -5,8 +5,8 @@ path as a complex sinusoid across its elements.  The unitary DFT matrix
 built from the array's orthogonal steering directions maps the spatial
 channel to the angular domain, where scattering is concentrated in a few
 bins.  sample_sparse_channel draws such a sparse angular channel on that
-grid, maps it back to the array, and stacks the real and imaginary parts
-of the angular vector into the real sparse vector the solvers work on.
+grid and stacks its real and imaginary parts into the real sparse vector
+the solvers work on; ChannelSample.h_spatial maps it back to the array.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ import numpy as np
 from .seeding import make_rng
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelSample:
     """One channel realization; treat as read-only after construction.
 
@@ -25,11 +25,15 @@ class ChannelSample:
     is the integer seed the sample was drawn from.
     """
 
-    h_spatial: np.ndarray
     h_angular: np.ndarray
     x_real: np.ndarray
     sparsity: int
     seed: int
+
+    @property
+    def h_spatial(self) -> np.ndarray:
+        """The spatial channel U^H h_angular; builds the n x n DFT matrix U on every access."""
+        return dft_matrix(self.h_angular.size).conj().T @ self.h_angular
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -53,7 +57,7 @@ def concat_real(h_angular: np.ndarray) -> np.ndarray:
 
 
 def sample_sparse_channel(n: int, sparsity: int, seed: int) -> ChannelSample:
-    """Draw a synthetic K-sparse angular channel and its spatial counterpart.
+    """Draw a synthetic K-sparse angular channel.
 
     The support is a uniform random choice of `sparsity` distinct bins and
     the nonzero gains are circularly-symmetric complex standard normal.
@@ -74,10 +78,7 @@ def sample_sparse_channel(n: int, sparsity: int, seed: int) -> ChannelSample:
         bad = (re == 0.0) | (im == 0.0)
     h_angular = np.zeros(n, dtype=complex)
     h_angular[support] = (re + 1j * im) / np.sqrt(2.0)
-    u = dft_matrix(n)
-    h_spatial = u.conj().T @ h_angular
     return ChannelSample(
-        h_spatial=h_spatial,
         h_angular=h_angular,
         x_real=concat_real(h_angular),
         sparsity=sparsity,

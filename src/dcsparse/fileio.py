@@ -19,6 +19,15 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _csv_cell(v) -> str:
+    """None as empty, a bool as true/false, a float by repr, anything else by str."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    return _fmt(v) if isinstance(v, (float, np.floating)) else str(v)
+
+
 def save_vector_csv(path, name: str, values: np.ndarray) -> None:
     """One value per line; complex vectors as two columns re,im; header names the field."""
     values = np.asarray(values)
@@ -55,16 +64,16 @@ def load_vector_csv(path):
     return name, np.array([float(r[0]) for r in rows])
 
 
-def save_channel(sample: ChannelSample, out_dir, stem: str = "channel") -> None:
-    """Writes one vector CSV per field plus a JSON record of n, sparsity, seed."""
+def save_channel(sample: ChannelSample, out_dir) -> None:
+    """Writes channel_<field>.csv per field plus channel.json with n, sparsity, seed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_vector_csv(out_dir / f"{stem}_h_spatial.csv", "h_spatial", sample.h_spatial)
-    save_vector_csv(out_dir / f"{stem}_h_angular.csv", "h_angular", sample.h_angular)
-    save_vector_csv(out_dir / f"{stem}_x_real.csv", "x_real", sample.x_real)
+    save_vector_csv(out_dir / "channel_h_spatial.csv", "h_spatial", sample.h_spatial)
+    save_vector_csv(out_dir / "channel_h_angular.csv", "h_angular", sample.h_angular)
+    save_vector_csv(out_dir / "channel_x_real.csv", "x_real", sample.x_real)
     meta = {"n": int(sample.h_angular.size), "sparsity": int(sample.sparsity),
             "seed": sample.seed}
-    (out_dir / f"{stem}.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out_dir / "channel.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def save_matrix(path, matrix: MeasurementMatrix) -> None:
@@ -96,37 +105,29 @@ def save_trace_csv(path, trace: SolverTrace) -> None:
     cumulative = 0
     for i in range(len(trace.outer_objectives)):
         cumulative += trace.inner_counts[i]
-        err = "" if trace.errors[i] is None else _fmt(trace.errors[i])
         lines.append(
             f"{trace.outer_steps[i]},{cumulative},{_fmt(trace.outer_objectives[i])},"
-            f"{_fmt(trace.l1_objectives[i])},{err}"
+            f"{_fmt(trace.l1_objectives[i])},{_csv_cell(trace.errors[i])}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-RECORDS_HEADER = "solver,sample,seed,snr_db,nse,outer_iters,inner_iters,converged,wall_s"
-
-
-def _record_row(rec) -> str:
-    snr = "" if rec.snr_db is None else _fmt(rec.snr_db)
-    return (f"{rec.solver_name},{rec.sample_index},{rec.seed},{snr},{_fmt(rec.nse)},"
-            f"{rec.outer_iters},{rec.inner_iters_total},{str(rec.converged).lower()},"
-            f"{_fmt(rec.wall_time_seconds)}")
+# Records file column -> ResultRecord attribute, in column order.
+_RECORD_COLUMNS = (("solver", "solver_name"), ("sample", "sample_index"), ("seed", "seed"),
+                   ("snr_db", "snr_db"), ("nse", "nse"), ("outer_iters", "outer_iters"),
+                   ("inner_iters", "inner_iters_total"), ("converged", "converged"),
+                   ("wall_s", "wall_time_seconds"))
+RECORDS_HEADER = ",".join(column for column, _ in _RECORD_COLUMNS)
 
 
 def save_records_csv(path, records) -> None:
-    lines = [RECORDS_HEADER] + [_record_row(r) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [",".join(_csv_cell(getattr(r, attr)) for _, attr in _RECORD_COLUMNS) for r in records]
+    Path(path).write_text("\n".join([RECORDS_HEADER] + rows) + "\n")
 
 
 def save_records_json(path, records) -> None:
-    payload = [
-        {"solver": r.solver_name, "sample": r.sample_index, "seed": r.seed,
-         "snr_db": r.snr_db, "nse": r.nse, "outer_iters": r.outer_iters,
-         "inner_iters": r.inner_iters_total, "converged": r.converged,
-         "wall_s": r.wall_time_seconds}
-        for r in records
-    ]
+    payload = [{column: getattr(r, attr) for column, attr in _RECORD_COLUMNS}
+               for r in records]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 

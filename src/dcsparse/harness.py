@@ -112,8 +112,18 @@ class ResultRecord:
     wall_time_seconds: float
 
 
-_CONFIG_KEYS = ("n_antennas", "sparsity", "m", "k", "rho", "snr_grid",
-                "samples", "seed", "solvers")
+# Config key -> (ExperimentConfig field, value parser), in the order errors list them.
+_CONFIG_KEYS = {
+    "n_antennas": ("n_antennas", int),
+    "sparsity": ("sparsity", int),
+    "m": ("m_measurements", int),
+    "k": ("k_real", int),
+    "rho": ("rho_rule", lambda v: "auto" if v == "auto" else float(v)),
+    "snr_grid": ("snr_grid_db", lambda v: tuple(float(s) for s in v.split(",")) if v else ()),
+    "samples": ("num_samples", int),
+    "seed": ("base_seed", int),
+    "solvers": ("solvers", lambda v: tuple(s.strip() for s in v.split(",") if s.strip())),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -140,25 +150,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     kwargs = {}
     try:
-        if "n_antennas" in values:
-            kwargs["n_antennas"] = int(values["n_antennas"])
-        if "sparsity" in values:
-            kwargs["sparsity"] = int(values["sparsity"])
-        if "m" in values:
-            kwargs["m_measurements"] = int(values["m"])
-        if "k" in values:
-            kwargs["k_real"] = int(values["k"])
-        if "rho" in values:
-            kwargs["rho_rule"] = "auto" if values["rho"] == "auto" else float(values["rho"])
-        if "snr_grid" in values:
-            raw_grid = values["snr_grid"]
-            kwargs["snr_grid_db"] = tuple(float(s) for s in raw_grid.split(",")) if raw_grid else ()
-        if "samples" in values:
-            kwargs["num_samples"] = int(values["samples"])
-        if "seed" in values:
-            kwargs["base_seed"] = int(values["seed"])
-        if "solvers" in values:
-            kwargs["solvers"] = tuple(s.strip() for s in values["solvers"].split(",") if s.strip())
+        for key, (name, parse) in _CONFIG_KEYS.items():
+            if key in values:
+                kwargs[name] = parse(values[key])
     except ValueError as exc:
         raise ConfigError(f"could not parse config value: {exc}") from exc
     return ExperimentConfig(**kwargs)

@@ -29,7 +29,7 @@ def _cache_aligned(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class MeasurementMatrix:
     """Dense real measurement operator with its draw seed.
 
@@ -44,8 +44,7 @@ class MeasurementMatrix:
 
     phi: np.ndarray
     seed: int | None = field(default=None, kw_only=True)
-    _lam_max_cache: tuple | None = field(default=None, init=False, repr=False,
-                                         compare=False)
+    _lam_max_cache: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)

@@ -14,12 +14,12 @@ Barzilai-Borwein step sizes (solve_bcqp_gp).
 
 The l1 baselines are gpsr_baseline, which is dc_gpsr's first step (a
 zero subgradient), and ista, proximal-gradient iterations on the
-unsplit l1 problem (_solve_prox).  They trace every inner iterate,
-evaluated _TRACE_BATCH at a time (_InnerTrace), or with
-inner_trace=False only the start and end points.  dc_gpsr can resume
-from a gpsr_baseline result (l1_start) instead of solving that step
-again.  omp and a brute-force cardinality-constrained least-squares
-oracle round out the benchmark set.
+unsplit l1 problem (_solve_prox).  One routine (_l1_baseline) traces
+every inner iterate of either, evaluated _TRACE_BATCH at a time
+(_InnerTrace), or with inner_trace=False only the start and end points.
+dc_gpsr can resume from a gpsr_baseline result (l1_start) instead of
+solving that step again.  omp and a brute-force cardinality-constrained
+least-squares oracle round out the benchmark set.
 """
 
 import math
@@ -64,7 +64,7 @@ class InstanceTooLarge(ValueError):
     """Exhaustive enumeration would exceed the configured guard."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseProblem:
     """One recovery instance: measurements, operator, sparsity bound, penalty weight."""
 
@@ -142,7 +142,7 @@ class SolverTrace:
     outer_steps: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class ReconResult:
     """Recovered vector plus convergence bookkeeping.
 
@@ -484,14 +484,13 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
     return x, j, done
 
 
-def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
-            opts: SolverOptions | None = None,
-            ground_truth: np.ndarray | None = None, *,
+def dc_gpsr(p: SparseProblem, *, opts: SolverOptions | None = None,
+            ground_truth: np.ndarray | None = None,
             l1_start: ReconResult | None = None) -> ReconResult:
     """Exact-sparsity reconstruction by DC programming with a gradient-projection inner solver.
 
-    Runs over the split z = [u; v] of x = u - v.  Step t takes w, the
-    top-(k,1) subgradient at x (zero at x == 0, where it lies in the
+    Runs over the split z = [u; v] of x = u - v, from x = 0.  Step t takes
+    w, the top-(k,1) subgradient at x (zero at x == 0, where it lies in the
     subdifferential), and solves the nonnegativity-constrained quadratic
     with linear term split_pos_neg(w) by solve_bcqp_gp, warm-started at the
     previous z, with its tolerance tightening from inner_tol to _TOL_FLOOR.
@@ -499,27 +498,24 @@ def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
     solve at _TOL_FLOOR: an earlier such step re-solves at the floor.
     Traces the start and every step.
 
-    Step 1 starts from x = 0 with a zero subgradient, which is exactly
-    gpsr_baseline's l1 solve.  l1_start, if given, must be
-    gpsr_baseline(p, opts=opts) on the same p and opts (either inner_trace);
-    its split and inner count then stand in for step 1, and the result is
-    the same as without it.  When inner_tol lies below the floor that
-    step 1 is clamped to, step 1 is solved anyway.
+    Step 1 has a zero subgradient, which is exactly gpsr_baseline's l1
+    solve.  l1_start, if given, must be gpsr_baseline(p, opts=opts) on the
+    same p and opts (either inner_trace); its split and inner count then
+    stand in for step 1, and the result is the same as without it.  When
+    inner_tol lies below the floor that step 1 is clamped to, step 1 is
+    solved anyway.
     """
     opts = SolverOptions() if opts is None else opts
     n = p.phi.n
     if l1_start is not None:
-        if x0 is not None:
-            raise ValueError("l1_start is the l1 solve from x = 0; it cannot come with x0")
         split = l1_start.split
         if split is None or np.shape(split) != (2 * n,):
             raise ValueError(f"l1_start must carry a split of length {2 * n} "
                              "(a gpsr_baseline result on the same problem)")
         if opts.inner_tol < _TOL_FLOOR:
             l1_start = None
-    x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
-    z = split_pos_neg(x0)
-    x = _unsplit(z)
+    z = np.zeros(2 * n)
+    x = np.zeros(n)
     trace = SolverTrace()
     _record(trace, p, x, 0, 0, ground_truth)
     converged = False
@@ -537,18 +533,37 @@ def dc_gpsr(p: SparseProblem, x0: np.ndarray | None = None,
         x = _unsplit(z)
         _record(trace, p, x, inner, t, ground_truth)
         if delta <= _OUTER_TOL:
-            if at_floor or tol_t <= _TOL_FLOOR:
+            if tol_t <= _TOL_FLOOR:
                 converged = True
                 break
             at_floor = True
     return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=t)
 
 
-def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
-                  opts: SolverOptions | None = None,
-                  ground_truth: np.ndarray | None = None, *,
+def _l1_baseline(p: SparseProblem, ground_truth, inner_trace: bool, to_x,
+                 solve) -> ReconResult:
+    """Trace and result of one l1 inner solve from x = 0, as gpsr_baseline describes.
+
+    solve(add) runs it, calling add(iterate) after every step unless add is
+    None, and returns (x, inner iterations, converged, split); to_x maps
+    an iterate to its x.
+    """
+    trace = SolverTrace()
+    _record(trace, p, np.zeros(p.phi.n), 0, 0, ground_truth)
+    points = _InnerTrace(trace, p, to_x, ground_truth) if inner_trace else None
+    x, inner, converged, split = solve(None if points is None else points.add)
+    if points is not None:
+        points.finish()
+    elif inner:
+        _record(trace, p, x, inner, 1, ground_truth)
+    return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1,
+                       split=split)
+
+
+def gpsr_baseline(p: SparseProblem, *, opts: SolverOptions | None = None,
+                  ground_truth: np.ndarray | None = None,
                   inner_trace: bool = True) -> ReconResult:
-    """Plain l1 sparse recovery: one solve_bcqp_gp pass with a zero subgradient.
+    """Plain l1 sparse recovery: one solve_bcqp_gp pass from x = 0 with a zero subgradient.
 
     Minimizes 0.5 ||y - phi x||^2 + rho ||x||_1.  With inner_trace the
     trace records every inner iteration, so objective evolutions can be
@@ -560,48 +575,35 @@ def gpsr_baseline(p: SparseProblem, x0: np.ndarray | None = None,
     """
     opts = SolverOptions() if opts is None else opts
     n = p.phi.n
-    x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
-    trace = SolverTrace()
-    _record(trace, p, x0, 0, 0, ground_truth)
-    points = _InnerTrace(trace, p, _unsplit, ground_truth) if inner_trace else None
-    z, inner = solve_bcqp_gp(
-        p, np.zeros(2 * n), split_pos_neg(x0), opts,
-        on_iterate=None if points is None else lambda k, z, gval, alpha: points.add(z))
-    x = _unsplit(z)
-    if points is not None:
-        points.finish()
-    elif inner:
-        _record(trace, p, x, inner, 1, ground_truth)
-    return ReconResult(x_hat=x, trace=trace, converged=inner < opts.inner_max,
-                       outer_iters=1, split=z)
+
+    def solve(add):
+        z, inner = solve_bcqp_gp(
+            p, np.zeros(2 * n), np.zeros(2 * n), opts,
+            on_iterate=None if add is None else lambda k, z, gval, alpha: add(z))
+        return _unsplit(z), inner, inner < opts.inner_max, z
+
+    return _l1_baseline(p, ground_truth, inner_trace, _unsplit, solve)
 
 
-def ista(p: SparseProblem, x0: np.ndarray | None = None,
-         opts: SolverOptions | None = None,
-         ground_truth: np.ndarray | None = None, *,
+def ista(p: SparseProblem, *, opts: SolverOptions | None = None,
+         ground_truth: np.ndarray | None = None,
          inner_trace: bool = True) -> ReconResult:
-    """Iterative shrinkage-thresholding for the l1 problem.
+    """Iterative shrinkage-thresholding for the l1 problem, from x = 0.
 
     One _solve_prox pass at fixed step 1/L, L a power-method estimate of
     ||phi^T phi||.  Traces every iteration, or
     with inner_trace=False only the start and end points, as gpsr_baseline.
     """
     opts = SolverOptions() if opts is None else opts
-    n = p.phi.n
-    x0 = np.zeros(n) if x0 is None else _check_signal(x0, p)
-    phi = p.phi.phi
-    lam = _lam_max(p.phi)
-    trace = SolverTrace()
-    _record(trace, p, x0, 0, 0, ground_truth)
-    points = _InnerTrace(trace, p, np.asarray, ground_truth) if inner_trace else None
-    x, inner, converged = _solve_prox(p, phi.T @ p.y, x0, lam if lam > 0 else 1.0,
-                                      opts.inner_tol, opts.inner_max,
-                                      on_iterate=None if points is None else points.add)
-    if points is not None:
-        points.finish()
-    else:  # _solve_prox takes at least one step
-        _record(trace, p, x, inner, 1, ground_truth)
-    return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1)
+
+    def solve(add):
+        lam = _lam_max(p.phi)
+        x, inner, converged = _solve_prox(p, p.phi.phi.T @ p.y, np.zeros(p.phi.n),
+                                          lam if lam > 0 else 1.0, opts.inner_tol,
+                                          opts.inner_max, on_iterate=add)
+        return x, inner, converged, None
+
+    return _l1_baseline(p, ground_truth, inner_trace, np.asarray, solve)
 
 
 def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class SubgradientVector:
     """A subgradient of the top-(k,1) norm: entries in {-1, 0, +1}, sum of |w| equals k."""
 

@@ -64,6 +64,15 @@ def test_sample_sparse_channel_deterministic():
     assert a.seed == b.seed == 99
 
 
+def test_sample_sparse_channel_builds_the_dft_matrix_only_for_h_spatial(count_calls):
+    calls = count_calls(dcsparse.channel, ("dft_matrix",))
+    s = sample_sparse_channel(64, 4, 5)
+    assert calls["dft_matrix"] == 0
+    h = s.h_spatial
+    assert calls["dft_matrix"] == 1
+    assert np.array_equal(h, dft_matrix(64).conj().T @ s.h_angular)
+
+
 def test_sample_sparse_channel_full_density_boundary():
     s = sample_sparse_channel(4, 4, 3)
     assert np.count_nonzero(s.h_angular) == 4

@@ -47,6 +47,11 @@ def test_channel_round_trip(tmp_path):
     assert meta == {"n": 32, "sparsity": 4, "seed": 77}
 
 
+def test_save_channel_has_no_stem(tmp_path):
+    with pytest.raises(TypeError):
+        save_channel(sample_sparse_channel(8, 2, 1), tmp_path, stem="other")
+
+
 def test_matrix_round_trip_with_sidecar(tmp_path):
     m = gaussian_matrix(5, 7, 13)
     path = tmp_path / "phi.csv"

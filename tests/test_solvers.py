@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -271,10 +272,30 @@ def test_dc_proximal_is_not_exported():
     assert not hasattr(dcsparse, "dc_proximal")
 
 
-def test_dc_gpsr_rejects_bad_x0():
+@pytest.mark.parametrize("solver", [dc_gpsr, gpsr_baseline, ista])
+def test_iterative_solvers_start_from_zero_and_take_keywords_only(solver):
+    params = inspect.signature(solver).parameters
+    assert "x0" not in params
+    assert all(prm.kind is prm.KEYWORD_ONLY for name, prm in params.items() if name != "p")
     p, _ = small_problem(14)
-    with pytest.raises(ValueError):
-        dc_gpsr(p, x0=np.zeros(5))
+    with pytest.raises(TypeError):
+        solver(p, np.zeros(12))
+    with pytest.raises(TypeError):
+        solver(p, x0=np.zeros(12))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gaussian_matrix(3, 4, 1),
+    lambda: top_k1_subgradient(np.arange(4.0), 2),
+    lambda: sample_sparse_channel(8, 2, 1),
+    lambda: SparseProblem(y=np.ones(3), phi=gaussian_matrix(3, 4, 1), k=1, rho=1.0),
+    lambda: omp(np.ones(3), gaussian_matrix(3, 4, 1), 1),
+], ids=["MeasurementMatrix", "SubgradientVector", "ChannelSample", "SparseProblem",
+        "ReconResult"])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == a) is True
+    assert (a == b) is False
 
 
 # ---------------------------------------------------------- l1-only solvers
@@ -448,8 +469,6 @@ def test_dc_gpsr_resumes_from_the_split_not_x_hat(monkeypatch):
 def test_dc_gpsr_l1_start_guards():
     p, _ = small_problem(27, m=16, n=32, k=4)
     start = gpsr_baseline(p)
-    with pytest.raises(ValueError, match="x0"):
-        dc_gpsr(p, x0=np.zeros(32), l1_start=start)
     for other in (ista(p), dc_gpsr(p), omp(p.y, p.phi, p.k),
                   gpsr_baseline(small_problem(27)[0])):
         with pytest.raises(ValueError, match="split"):
