@@ -131,19 +131,18 @@ def save_records_json(path, records) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+# Summary file columns, in the order of a (solver, snr_db, nmse) summary row.
 SUMMARY_HEADER = "solver,snr_db,nmse"
+_SUMMARY_COLUMNS = tuple(SUMMARY_HEADER.split(","))
 
 
 def save_summary_csv(path, rows) -> None:
-    lines = [SUMMARY_HEADER]
-    for solver, snr_db, value in rows:
-        snr = "" if snr_db is None else _fmt(snr_db)
-        lines.append(f"{solver},{snr},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = [",".join(_csv_cell(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join([SUMMARY_HEADER] + lines) + "\n")
 
 
 def save_summary_json(path, rows) -> None:
-    payload = [{"solver": s, "snr_db": snr, "nmse": v} for s, snr, v in rows]
+    payload = [dict(zip(_SUMMARY_COLUMNS, row)) for row in rows]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 

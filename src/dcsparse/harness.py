@@ -35,11 +35,10 @@ def _solve_omp(problem, opts, ground_truth, inner_trace):
 # Solver name -> solve(problem, opts, ground_truth, inner_trace).  inner_trace
 # selects per-inner-iteration trace points for gpsr and ista; dc_gpsr traces
 # once per outer step and omp not at all, so they ignore it.
-# dc_gpsr also takes l1_start, the gpsr result on the same problem (see run_cell).
 # The entries call through this module's globals, which bench/tracing.py wraps.
 SOLVER_REGISTRY = {
-    "dc_gpsr": lambda p, opts, truth, inner_trace, l1_start=None: dc_gpsr(
-        p, opts=opts, ground_truth=truth, l1_start=l1_start),
+    "dc_gpsr": lambda p, opts, truth, inner_trace: dc_gpsr(
+        p, opts=opts, ground_truth=truth),
     "gpsr": lambda p, opts, truth, inner_trace: gpsr_baseline(
         p, opts=opts, ground_truth=truth, inner_trace=inner_trace),
     "ista": lambda p, opts, truth, inner_trace: ista(
@@ -175,13 +174,11 @@ def run_cell(cfg: ExperimentConfig, sample_index: int, snr_db: float | None, *,
              inner_trace: bool = True):
     """Run all configured solvers on one cell.
 
-    Returns (records, results_by_solver, x_true) with results in the
-    config's solver order.  inner_trace=False keeps only the start and end
-    trace points of gpsr and ista; records and x_hat are the same either way.
-
-    gpsr's l1 solve is dc_gpsr's first DC step, so when both are configured
-    gpsr runs first and dc_gpsr resumes from its result.  dc_gpsr's wall
-    time then includes gpsr's, so it still stands for a standalone solve.
+    Returns (records, results_by_solver, x_true).  The solvers run one
+    after another in the config's order, each on its own, and each record's
+    wall time is that solver's solve.  inner_trace=False keeps only the
+    start and end trace points of gpsr and ista; records and x_hat are the
+    same either way.
     """
     seed = cell_seed(cfg.base_seed, sample_index, snr_db)
     sample = sample_sparse_channel(cfg.n_antennas, cfg.sparsity, derive_seed(seed, 0))
@@ -194,30 +191,25 @@ def run_cell(cfg: ExperimentConfig, sample_index: int, snr_db: float | None, *,
     rho = default_rho(phi, y, sigma) if cfg.rho_rule == "auto" else float(cfg.rho_rule)
     problem = SparseProblem(y=y, phi=phi, k=cfg.k_real, rho=rho)
 
-    share = "gpsr" in cfg.solvers and "dc_gpsr" in cfg.solvers
-    order = sorted(cfg.solvers, key=lambda name: name != "gpsr") if share else cfg.solvers
+    records = []
     results = {}
-    walls = {}
-    for name in order:
-        extra = {"l1_start": results["gpsr"]} if share and name == "dc_gpsr" else {}
+    for name in cfg.solvers:
         start = time.perf_counter()
-        results[name] = SOLVER_REGISTRY[name](problem, cfg.solver_options, sample.x_real,
-                                              inner_trace=inner_trace, **extra)
-        walls[name] = time.perf_counter() - start
-    if share:
-        walls["dc_gpsr"] += walls["gpsr"]
-    records = [ResultRecord(
-        solver_name=name,
-        sample_index=sample_index,
-        seed=seed,
-        snr_db=snr_db,
-        nse=normalized_sq_error(sample.x_real, results[name].x_hat),
-        outer_iters=results[name].outer_iters,
-        inner_iters_total=results[name].inner_iters_total,
-        converged=results[name].converged,
-        wall_time_seconds=walls[name],
-    ) for name in cfg.solvers]
-    return records, {name: results[name] for name in cfg.solvers}, sample.x_real
+        result = results[name] = SOLVER_REGISTRY[name](problem, cfg.solver_options,
+                                                       sample.x_real, inner_trace=inner_trace)
+        wall = time.perf_counter() - start
+        records.append(ResultRecord(
+            solver_name=name,
+            sample_index=sample_index,
+            seed=seed,
+            snr_db=snr_db,
+            nse=normalized_sq_error(sample.x_real, result.x_hat),
+            outer_iters=result.outer_iters,
+            inner_iters_total=result.inner_iters_total,
+            converged=result.converged,
+            wall_time_seconds=wall,
+        ))
+    return records, results, sample.x_real
 
 
 def _sort_records(records):

@@ -12,18 +12,21 @@ negative parts, which turns that piece into a nonnegativity-constrained
 quadratic program handled matrix-free by projected gradients with
 Barzilai-Borwein step sizes (solve_bcqp_gp).
 
-The l1 baselines are gpsr_baseline, which is dc_gpsr's first step (a
-zero subgradient), and ista, proximal-gradient iterations on the
+dc_gpsr starts its DC steps from the l1 solution at rho, which it reaches
+by continuation: l1 solves at a weight that shrinks geometrically to rho,
+each warm-started at the previous solution, so that start is cheap.
+
+The l1 baselines are gpsr_baseline, one solve_bcqp_gp pass with a zero
+subgradient at rho, and ista, proximal-gradient iterations on the
 unsplit l1 problem (_solve_prox).  One routine (_l1_baseline) traces
 every inner iterate of either, evaluated _TRACE_BATCH at a time
 (_InnerTrace), or with inner_trace=False only the start and end points.
-dc_gpsr can resume from a gpsr_baseline result (l1_start) instead of
-solving that step again.  omp and a brute-force cardinality-constrained
-least-squares oracle round out the benchmark set.
+omp and a brute-force cardinality-constrained least-squares oracle round
+out the benchmark set.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -32,16 +35,28 @@ from .metrics import normalized_sq_error
 from .sensing import MeasurementMatrix
 from .sparsity import sparsity_gap, split_pos_neg, top_k1_subgradient
 
-# Inner-solve tolerance schedule of dc_gpsr: outer step t solves its
-# subproblem at max(inner_tol * _TOL_SHRINK**(t-1), _TOL_FLOOR), so early
-# subproblems stop at the configured practical tolerance while late ones
-# are polished to the floating-point floor.  The floor is expressed on the
+# rho continuation of dc_gpsr (Hale, Yin & Zhang, SIAM J. Optim. 2008):
+# outer step t solves at max(rho, _RHO_START * ||phi^T y||_inf * _RHO_DECAY**(t-1)).
+# Until the first step at rho the steps are l1 solves (a zero subgradient)
+# along the l1 solution path, each warm-started at the previous one, so
+# the l1 solution at rho that starts the DC steps takes few iterations.
+# The DC subgradient waits for it: the top-k support of an l1 solution at
+# a larger weight is a worse estimate at low SNR, and DC steps, which
+# leave their support unpenalized, do not give it up again.
+_RHO_START = 0.1
+_RHO_DECAY = 0.3
+
+# Inner-solve tolerance schedule of dc_gpsr: steps above rho solve at
+# inner_tol, and the j-th step at rho (j = 1, 2, ...) at
+# max(inner_tol * _TOL_SHRINK**(j-1), _TOL_FLOOR), so early subproblems
+# stop at the configured practical tolerance while late ones are polished
+# to the floating-point floor.  The floor is expressed on the
 # *predicted* per-step decrease of solve_bcqp_gp, which stays resolvable
 # far below the ~1e-16 * |G| resolution of the objective values themselves.
 _TOL_SHRINK = 1e-2
 _TOL_FLOOR = 1e-26
 
-# dc_gpsr stops once a step moves its split by at most _OUTER_TOL in 2-norm.
+# dc_gpsr stops once a step at rho moves its split by at most _OUTER_TOL in 2-norm.
 _OUTER_TOL = 1e-14
 # Barzilai-Borwein steps of solve_bcqp_gp are clamped to [_ALPHA_MIN, _ALPHA_MAX].
 _ALPHA_MIN = 1e-30
@@ -132,7 +147,8 @@ class SolverTrace:
     One entry per recorded point: the exact-penalty objective, the l1
     objective, the normalized squared error when ground truth was given
     (else None), the inner iterations attributed to that point, and the
-    outer step it belongs to.
+    outer step it belongs to.  Both objectives are at the problem's rho,
+    also for dc_gpsr's continuation steps, which solve at a larger weight.
     """
 
     outer_objectives: list = field(default_factory=list)
@@ -144,17 +160,12 @@ class SolverTrace:
 
 @dataclass(eq=False)
 class ReconResult:
-    """Recovered vector plus convergence bookkeeping.
-
-    split is the z = [u; v] that solve_bcqp_gp returned, with x_hat = u - v;
-    only gpsr_baseline sets it, so dc_gpsr can resume from it (l1_start).
-    """
+    """Recovered vector plus convergence bookkeeping."""
 
     x_hat: np.ndarray
     trace: SolverTrace
     converged: bool
     outer_iters: int
-    split: np.ndarray | None = None
 
     @property
     def inner_iters_total(self) -> int:
@@ -485,53 +496,45 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
 
 
 def dc_gpsr(p: SparseProblem, *, opts: SolverOptions | None = None,
-            ground_truth: np.ndarray | None = None,
-            l1_start: ReconResult | None = None) -> ReconResult:
+            ground_truth: np.ndarray | None = None) -> ReconResult:
     """Exact-sparsity reconstruction by DC programming with a gradient-projection inner solver.
 
-    Runs over the split z = [u; v] of x = u - v, from x = 0.  Step t takes
-    w, the top-(k,1) subgradient at x (zero at x == 0, where it lies in the
-    subdifferential), and solves the nonnegativity-constrained quadratic
-    with linear term split_pos_neg(w) by solve_bcqp_gp, warm-started at the
-    previous z, with its tolerance tightening from inner_tol to _TOL_FLOOR.
-    It stops once a step moves z by at most _OUTER_TOL, but only after a
-    solve at _TOL_FLOOR: an earlier such step re-solves at the floor.
-    Traces the start and every step.
-
-    Step 1 has a zero subgradient, which is exactly gpsr_baseline's l1
-    solve.  l1_start, if given, must be gpsr_baseline(p, opts=opts) on the
-    same p and opts (either inner_trace); its split and inner count then
-    stand in for step 1, and the result is the same as without it.  When
-    inner_tol lies below the floor that step 1 is clamped to, step 1 is
-    solved anyway.
+    Runs over the split z = [u; v] of x = u - v, from x = 0.  Step t solves
+    the nonnegativity-constrained quadratic with linear term
+    split_pos_neg(w) by solve_bcqp_gp, warm-started at the previous z, at
+    the weight max(rho, _RHO_START * ||phi^T y||_inf * _RHO_DECAY**(t-1)).
+    Steps above rho, and the first step at rho, are l1 solves (w = 0) at
+    inner_tol.  Later steps take w, the top-(k,1) subgradient at x (zero at
+    x == 0, where it lies in the subdifferential), with the tolerance
+    tightening from inner_tol to _TOL_FLOOR.  It stops once a step at rho
+    moves z by at most _OUTER_TOL, but only after a solve at _TOL_FLOOR: an
+    earlier such step re-solves at the floor.  Traces the start and every
+    step, each at rho.
     """
     opts = SolverOptions() if opts is None else opts
     n = p.phi.n
-    if l1_start is not None:
-        split = l1_start.split
-        if split is None or np.shape(split) != (2 * n,):
-            raise ValueError(f"l1_start must carry a split of length {2 * n} "
-                             "(a gpsr_baseline result on the same problem)")
-        if opts.inner_tol < _TOL_FLOOR:
-            l1_start = None
+    rho_start = _RHO_START * float(np.max(np.abs(p.phi.phi.T @ p.y)))
     z = np.zeros(2 * n)
     x = np.zeros(n)
     trace = SolverTrace()
     _record(trace, p, x, 0, 0, ground_truth)
     converged = False
     at_floor = False
+    at_rho = 0  # steps solved at p.rho so far
     for t in range(1, opts.outer_max + 1):
-        tol_t = _TOL_FLOOR if at_floor else max(opts.inner_tol * _TOL_SHRINK ** (t - 1),
+        rho_t = max(p.rho, rho_start * _RHO_DECAY ** (t - 1))
+        tol_t = _TOL_FLOOR if at_floor else max(opts.inner_tol * _TOL_SHRINK ** at_rho,
                                                 _TOL_FLOOR)
-        if t == 1 and l1_start is not None:
-            z_new, inner = l1_start.split, l1_start.inner_iters_total
-        else:
-            w = top_k1_subgradient(x, p.k).w if x.any() else np.zeros(n)
-            z_new, inner = solve_bcqp_gp(p, split_pos_neg(w), z, opts, tol=tol_t)
+        w = top_k1_subgradient(x, p.k).w if at_rho and x.any() else np.zeros(n)
+        z_new, inner = solve_bcqp_gp(replace(p, rho=rho_t), split_pos_neg(w), z, opts,
+                                     tol=tol_t)
         delta = float(np.linalg.norm(z_new - z))
         z = z_new
         x = _unsplit(z)
         _record(trace, p, x, inner, t, ground_truth)
+        if rho_t > p.rho:
+            continue
+        at_rho += 1
         if delta <= _OUTER_TOL:
             if tol_t <= _TOL_FLOOR:
                 converged = True
@@ -545,19 +548,18 @@ def _l1_baseline(p: SparseProblem, ground_truth, inner_trace: bool, to_x,
     """Trace and result of one l1 inner solve from x = 0, as gpsr_baseline describes.
 
     solve(add) runs it, calling add(iterate) after every step unless add is
-    None, and returns (x, inner iterations, converged, split); to_x maps
-    an iterate to its x.
+    None, and returns (x, inner iterations, converged); to_x maps an
+    iterate to its x.
     """
     trace = SolverTrace()
     _record(trace, p, np.zeros(p.phi.n), 0, 0, ground_truth)
     points = _InnerTrace(trace, p, to_x, ground_truth) if inner_trace else None
-    x, inner, converged, split = solve(None if points is None else points.add)
+    x, inner, converged = solve(None if points is None else points.add)
     if points is not None:
         points.finish()
     elif inner:
         _record(trace, p, x, inner, 1, ground_truth)
-    return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1,
-                       split=split)
+    return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1)
 
 
 def gpsr_baseline(p: SparseProblem, *, opts: SolverOptions | None = None,
@@ -580,7 +582,7 @@ def gpsr_baseline(p: SparseProblem, *, opts: SolverOptions | None = None,
         z, inner = solve_bcqp_gp(
             p, np.zeros(2 * n), np.zeros(2 * n), opts,
             on_iterate=None if add is None else lambda k, z, gval, alpha: add(z))
-        return _unsplit(z), inner, inner < opts.inner_max, z
+        return _unsplit(z), inner, inner < opts.inner_max
 
     return _l1_baseline(p, ground_truth, inner_trace, _unsplit, solve)
 
@@ -598,10 +600,8 @@ def ista(p: SparseProblem, *, opts: SolverOptions | None = None,
 
     def solve(add):
         lam = _lam_max(p.phi)
-        x, inner, converged = _solve_prox(p, p.phi.phi.T @ p.y, np.zeros(p.phi.n),
-                                          lam if lam > 0 else 1.0, opts.inner_tol,
-                                          opts.inner_max, on_iterate=add)
-        return x, inner, converged, None
+        return _solve_prox(p, p.phi.phi.T @ p.y, np.zeros(p.phi.n), lam if lam > 0 else 1.0,
+                           opts.inner_tol, opts.inner_max, on_iterate=add)
 
     return _l1_baseline(p, ground_truth, inner_trace, np.asarray, solve)
 

@@ -147,8 +147,7 @@ def test_snr_sweep_cardinality():
 def test_traced_benchmark_spans_are_called(count_calls):
     # The spans that bench/run.py --trace 1 requires on its noiseless
     # workload and on its snr_sweep workload, with the sweep's
-    # start-and-end-only traces of gpsr and ista; in both, dc_gpsr resumes
-    # from gpsr's solve.
+    # start-and-end-only traces of gpsr and ista.
     cell = ("sample_sparse_channel", "gaussian_matrix", "measure", "default_rho",
             "normalized_sq_error", "dc_gpsr", "gpsr_baseline", "omp")
     calls = count_calls(dcsparse.harness, cell + (
@@ -169,20 +168,25 @@ def test_traced_benchmark_spans_are_called(count_calls):
     assert all(solver_calls.values()), solver_calls
 
 
-def test_run_cell_shares_the_l1_solve_with_dc_gpsr(count_calls):
-    # gpsr runs first and dc_gpsr resumes from it: every record, x_hat and
-    # trace equals the solver run alone, and one l1 solve is saved per cell.
+def test_run_cell_runs_each_solver_alone_in_config_order(count_calls, monkeypatch):
+    # Every record, x_hat and trace equals the solver run alone, the
+    # solvers run in the config's order, and no inner solve is shared.
     solvers = ("omp", "dc_gpsr", "ista", "gpsr")
     cfg = tiny_config(solvers=solvers)
+    order = []
+    for name, solve in list(dcsparse.harness.SOLVER_REGISTRY.items()):
+        def logged(*args, _name=name, _solve=solve, **kwargs):
+            order.append(_name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setitem(dcsparse.harness.SOLVER_REGISTRY, name, logged)
     calls = count_calls(dcsparse.solvers, ("solve_bcqp_gp",))
     for snr_db, inner_trace in ((None, True), (15.0, False)):
         for i in range(cfg.num_samples):
+            order.clear()
             calls["solve_bcqp_gp"] = 0
             records, results, _ = run_cell(cfg, i, snr_db, inner_trace=inner_trace)
-            shared = calls["solve_bcqp_gp"]
-            assert list(results) == [r.solver_name for r in records] == list(solvers)
-            wall = {r.solver_name: r.wall_time_seconds for r in records}
-            assert wall["dc_gpsr"] >= wall["gpsr"]
+            together = calls["solve_bcqp_gp"]
+            assert order == list(results) == [r.solver_name for r in records] == list(solvers)
             calls["solve_bcqp_gp"] = 0
             for name, record in zip(solvers, records):
                 alone, alone_results, _ = run_cell(replace(cfg, solvers=(name,)), i, snr_db,
@@ -192,7 +196,7 @@ def test_run_cell_shares_the_l1_solve_with_dc_gpsr(count_calls):
                 a, b = alone_results[name], results[name]
                 assert a.x_hat.tobytes() == b.x_hat.tobytes()
                 assert repr(a.trace) == repr(b.trace)
-            assert shared == calls["solve_bcqp_gp"] - 1
+            assert together == calls["solve_bcqp_gp"]
 
 
 def test_snr_sweep_records_equal_full_trace_cells(count_calls):

@@ -1,7 +1,7 @@
 import copy
 import functools
 import inspect
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from dcsparse.metrics import normalized_sq_error
 from dcsparse.seeding import derive_seed, make_rng
 from dcsparse.sensing import MeasurementMatrix, gaussian_matrix, measure
 from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TOL_FLOOR, _TRACE_BATCH,
-                              InstanceTooLarge, NumericalFailure, SolverOptions,
+                              InstanceTooLarge, NumericalFailure, ReconResult, SolverOptions,
                               SolverTrace, SparseProblem, _power_lam_max, _record,
                               _solve_prox, bcqp_gradient, brute_force_l0, dc_gpsr,
                               default_rho, gpsr_baseline, ista, objective_exact,
@@ -388,133 +388,87 @@ def engine_problems():
         yield p
 
 
-def test_gpsr_baseline_is_first_dc_gpsr_step():
-    for p in engine_problems():
-        a = gpsr_baseline(p)
-        b = dc_gpsr(p, opts=SolverOptions(outer_max=1))
-        assert np.array_equal(a.x_hat, b.x_hat)
-        assert a.inner_iters_total == b.inner_iters_total
-
-
-def assert_same_result(a, b):
-    """Equal x_hat, counts, converged flag and trace lists, bit for bit."""
-    assert a.x_hat.tobytes() == b.x_hat.tobytes()
-    assert (a.converged, a.outer_iters, a.inner_iters_total) == \
-        (b.converged, b.outer_iters, b.inner_iters_total)
-    for name in ("outer_objectives", "l1_objectives", "errors", "inner_counts",
-                 "outer_steps"):
-        assert repr(getattr(a.trace, name)) == repr(getattr(b.trace, name))
-
-
-def assert_resumed_dc_gpsr_is_dc_gpsr(p, opts=None, ground_truth=None):
-    """dc_gpsr resumed from gpsr_baseline (either trace) equals dc_gpsr; returns step 1's count."""
-    plain = dc_gpsr(p, opts=opts, ground_truth=ground_truth)
-    for inner_trace in (True, False):
-        start = gpsr_baseline(p, opts=opts, inner_trace=inner_trace)
-        resumed = dc_gpsr(p, opts=opts, ground_truth=ground_truth, l1_start=start)
-        assert_same_result(resumed, plain)
-        assert resumed.trace.inner_counts[1] == start.inner_iters_total
-    return plain.trace.inner_counts[1]
-
-
-def test_dc_gpsr_resumed_from_gpsr_is_dc_gpsr():
-    for i, p in enumerate(engine_problems()):
-        assert assert_resumed_dc_gpsr_is_dc_gpsr(p) > 0
-        if i % 4 == 0:
-            assert_resumed_dc_gpsr_is_dc_gpsr(p, SolverOptions(outer_max=1))
-    p, x_true = small_problem(24, m=16, n=32, k=4)
-    assert_resumed_dc_gpsr_is_dc_gpsr(p, ground_truth=x_true)
-    # The l1 solve stopped at its cap, and so is every later step.
-    assert assert_resumed_dc_gpsr_is_dc_gpsr(p, SolverOptions(inner_max=7)) == 7
-    # y = 0: gpsr takes 0 iterations and step 2 re-solves at the floor.
-    q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
-    assert assert_resumed_dc_gpsr_is_dc_gpsr(q, ground_truth=x_true) == 0
-    y = np.zeros(8)
-    y[[1, 5, 6]] = [2.0, -3.0, 0.4]
-    eye = SparseProblem(y=y, phi=MeasurementMatrix(np.eye(8)), k=3, rho=0.05)
-    assert assert_resumed_dc_gpsr_is_dc_gpsr(eye) > 0
-
-
-def test_dc_gpsr_resumed_from_gpsr_skips_one_solve(count_calls):
-    p, _ = small_problem(25, m=16, n=32, k=4)
-    start = gpsr_baseline(p)
-    calls = count_calls(dcsparse.solvers, ("solve_bcqp_gp",))
-    plain = dc_gpsr(p)
-    standalone = calls["solve_bcqp_gp"]
-    dc_gpsr(p, l1_start=start)
-    assert standalone == plain.outer_iters > 1
-    assert calls["solve_bcqp_gp"] - standalone == standalone - 1
-
-
-def test_dc_gpsr_resumes_from_the_split_not_x_hat(monkeypatch):
-    # Step 2 warm-starts from the z = [u; v] gpsr stopped at, which need
-    # not be split_pos_neg(x_hat): give it one where both halves are positive.
-    p, _ = small_problem(26, m=16, n=32, k=4)
-    start = gpsr_baseline(p)
-    assert np.array_equal(start.split, split_pos_neg(start.x_hat))
-    shifted = start.split + 0.5
-    assert np.allclose(shifted[:32] - shifted[32:], start.x_hat, rtol=0, atol=1e-15)
-    starts = []
+def solve_calls(monkeypatch):
+    """Record (rho, tol, w_z nonzero) of every solve_bcqp_gp call that dc_gpsr makes."""
+    calls = []
     solve = dcsparse.solvers.solve_bcqp_gp
 
-    def spy(p_, w_z, z0, *args, **kwargs):
-        starts.append(np.array(z0))
-        return solve(p_, w_z, z0, *args, **kwargs)
+    def spy(p_, w_z, *args, tol=None, **kwargs):
+        calls.append((p_.rho, tol, bool(np.any(w_z))))
+        return solve(p_, w_z, *args, tol=tol, **kwargs)
 
     monkeypatch.setattr(dcsparse.solvers, "solve_bcqp_gp", spy)
-    dc_gpsr(p, opts=SolverOptions(outer_max=2), l1_start=replace(start, split=shifted))
-    assert len(starts) == 1 and np.array_equal(starts[0], shifted)
+    return calls
 
 
-def test_dc_gpsr_l1_start_guards():
+def test_dc_gpsr_continues_rho_down_to_the_problem_rho(monkeypatch):
+    # Step t solves at max(rho, 0.1 ||phi^T y||_inf * 0.3**(t-1)).  Above
+    # rho, and at the first step at rho, it solves the l1 problem (w = 0)
+    # at inner_tol; converged=True needs a step at rho.
+    calls = solve_calls(monkeypatch)
+    continued = 0
+    for p in engine_problems():
+        top = float(np.max(np.abs(p.phi.phi.T @ p.y)))
+        calls.clear()
+        res = dc_gpsr(p)
+        rhos = [rho for rho, _, _ in calls]
+        assert res.converged and len(rhos) == res.outer_iters
+        assert rhos == [max(p.rho, 0.1 * top * 0.3 ** t) for t in range(len(rhos))]
+        assert all(a >= b for a, b in zip(rhos, rhos[1:])) and rhos[-1] == p.rho
+        l1 = rhos.index(p.rho) + 1  # the steps above rho and the first at rho
+        assert calls[:l1] == [(rho, 1e-8, False) for rho in rhos[:l1]]
+        assert any(dc for _, _, dc in calls[l1:])
+        continued += l1 > 1
+        for outer_max in range(1, l1):
+            assert not dc_gpsr(p, opts=SolverOptions(outer_max=outer_max)).converged
+    assert continued == 20
+
+
+@pytest.mark.parametrize("factor", [0.09, 0.1, 0.5, 2.0])
+def test_dc_gpsr_solves_every_step_at_rho_from_a_tenth_of_the_correlation(factor,
+                                                                         monkeypatch):
+    p0, _ = small_problem(31, m=16, n=32, k=4)
+    top = float(np.max(np.abs(p0.phi.phi.T @ p0.y)))
+    p = replace(p0, rho=factor * top)
+    calls = solve_calls(monkeypatch)
+    res = dc_gpsr(p)
+    assert res.converged
+    rhos = [rho for rho, _, _ in calls]
+    assert rhos == [max(p.rho, 0.1 * top)] + [p.rho] * (res.outer_iters - 1)
+    assert (rhos[0] == p.rho) is (factor >= 0.1)
+
+
+def test_dc_gpsr_takes_no_l1_result():
+    assert list(inspect.signature(dc_gpsr).parameters) == ["p", "opts", "ground_truth"]
     p, _ = small_problem(27, m=16, n=32, k=4)
-    start = gpsr_baseline(p)
-    for other in (ista(p), dc_gpsr(p), omp(p.y, p.phi, p.k),
-                  gpsr_baseline(small_problem(27)[0])):
-        with pytest.raises(ValueError, match="split"):
-            dc_gpsr(p, l1_start=other)
+    with pytest.raises(TypeError):
+        dc_gpsr(p, l1_start=gpsr_baseline(p))
+    assert "split" not in {f.name for f in fields(ReconResult)}
+    assert not hasattr(gpsr_baseline(p), "split")
 
 
-def test_dc_gpsr_solves_step_one_below_the_tolerance_floor(count_calls):
-    # Step 1 runs at max(inner_tol, floor), not at inner_tol, so gpsr's
-    # solve at a smaller inner_tol is not step 1 and is not used.
+def test_dc_gpsr_solves_step_one_below_the_tolerance_floor(monkeypatch):
+    # An inner_tol below _TOL_FLOOR is clamped to the floor, for the
+    # continuation steps above rho as for the steps at rho.
+    calls = solve_calls(monkeypatch)
     p, _ = small_problem(28, m=16, n=32, k=4)
-    opts = SolverOptions(inner_tol=1e-30, inner_max=300, outer_max=4)
-    calls = count_calls(dcsparse.solvers, ("solve_bcqp_gp",))
-    resumed = dc_gpsr(p, opts=opts, l1_start=gpsr_baseline(p, opts=opts))
-    assert calls["solve_bcqp_gp"] == 1 + resumed.outer_iters
-    assert_same_result(resumed, dc_gpsr(p, opts=opts))
+    res = dc_gpsr(p, opts=SolverOptions(inner_tol=1e-30, inner_max=300, outer_max=4))
+    assert len(calls) == res.outer_iters == 4 and calls[0][0] > p.rho
+    assert all(tol == _TOL_FLOOR for _, tol, _ in calls)
 
 
 def test_dc_gpsr_accepts_the_outer_stop_only_after_a_solve_at_the_floor(monkeypatch):
     # A step that barely moves z before the tolerance schedule reaches
-    # _TOL_FLOOR (at step 10 for inner_tol 1e-8) sends the next solve to
-    # the floor, and only a solve there may end the loop.
-    tols = []
-
-    def recording(*args, tol=None, **kwargs):
-        tols.append(tol)
-        return solve_bcqp_gp(*args, tol=tol, **kwargs)
-
-    monkeypatch.setattr(dcsparse.solvers, "solve_bcqp_gp", recording)
+    # _TOL_FLOOR (at the 10th step at rho for inner_tol 1e-8) sends the
+    # next solve to the floor, and only a solve there may end the loop.
+    calls = solve_calls(monkeypatch)
     early = 0
     for p in engine_problems():
-        tols.clear()
+        calls.clear()
         res = dc_gpsr(p)
-        assert res.converged and tols[-1] == _TOL_FLOOR
-        early += res.outer_iters < 10
+        assert res.converged and calls[-1][:2] == (p.rho, _TOL_FLOOR)
+        early += sum(rho == p.rho for rho, _, _ in calls) < 10
     assert early > 0
-
-
-def test_gpsr_baseline_carries_its_split():
-    for p in engine_problems():
-        for inner_trace in (True, False):
-            res = gpsr_baseline(p, inner_trace=inner_trace)
-            n = p.phi.n
-            assert res.split.shape == (2 * n,) and np.all(res.split >= 0)
-            assert (res.split[:n] - res.split[n:]).tobytes() == res.x_hat.tobytes()
-    assert ista(p).split is None and dc_gpsr(p).split is None
-    assert omp(p.y, p.phi, p.k).split is None
 
 
 def test_power_method_runs_once_per_operator(count_calls):
@@ -923,10 +877,7 @@ def test_traced_benchmark_spans_are_called(count_calls):
         "solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
         "normalized_sq_error"))
     p, x_true = small_problem(23, m=16, n=32, k=4)
-    start = dcsparse.solvers.gpsr_baseline(p, ground_truth=x_true)
-    # dc_gpsr resumed from that solve calls every one of them.
-    calls.update(dict.fromkeys(calls, 0))
-    dcsparse.solvers.dc_gpsr(p, ground_truth=x_true, l1_start=start)
+    dcsparse.solvers.dc_gpsr(p, ground_truth=x_true)
     assert all(calls.values()), calls
 
 
