@@ -8,6 +8,7 @@ of the cell seed.  Reruns with the same config are bit-identical except
 for wall-clock columns.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,6 +85,11 @@ class ExperimentConfig:
         if not isinstance(self.rho_rule, str) and not self.rho_rule > 0:
             raise ConfigError(f"rho_rule must be > 0, got {self.rho_rule}")
         self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
+        for i, snr_db in enumerate(self.snr_grid_db):
+            if not math.isfinite(snr_db):
+                raise ConfigError(f"snr_grid points must be finite, got {snr_db}")
+            if snr_db in self.snr_grid_db[:i]:
+                raise ConfigError(f"duplicate point {snr_db:g} in snr_grid")
         self.solvers = tuple(self.solvers)
         for i, name in enumerate(self.solvers):
             if name not in SOLVER_REGISTRY:

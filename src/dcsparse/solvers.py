@@ -278,10 +278,12 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     after every accepted step.  `tol` overrides opts.inner_tol (used by
     the DC outer loop to tighten subproblems as it converges).
 
-    Every iterate is a fresh array that is never written afterwards: the
-    z handed to on_iterate and the returned z stay valid after later
-    iterations and later calls, and share no memory with z0 or w_z.  The
-    working vectors of an iteration live in buffers allocated once per call.
+    Ownership: with a hook, every iterate is a fresh array that is never
+    written afterwards, so the z handed to on_iterate stays valid after
+    later iterations and later calls.  Without one, the iterates ping-pong
+    between two work buffers allocated once per call.  Either way the
+    returned z belongs to the caller: no later call writes it, and it
+    shares no memory with z0 or w_z.
     """
     opts = SolverOptions() if opts is None else opts
     tol = opts.inner_tol if tol is None else tol
@@ -301,11 +303,15 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     lam = _lam_max(p.phi)
     alpha = min(max(1.0 / lam if lam > 0 else 1.0, _ALPHA_MIN), _ALPHA_MAX)
 
+    # Work buffers, and the step sizes as 0-d arrays refilled in place: a
+    # ufunc takes an array operand faster than a Python float, and the
+    # array of zeros faster than the scalar 0.0.
     grad = np.empty(2 * n)
     zh = np.empty(2 * n)
     d = np.empty(2 * n)
-    scratch = np.empty(2 * n)
     dx = np.empty(n)
+    zeros = np.zeros(2 * n)
+    alpha_, beta_ = np.empty(()), np.empty(())
     grad_u, grad_v = grad[:n], grad[n:]
     d_u, d_v = d[:n], d[n:]
 
@@ -317,7 +323,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
 
     fx = phi @ _unsplit(z)
     set_grad(fx)
-    gval = 0.5 * float(fx @ fx) + float(c @ z)
+    gval = 0.5 * float(fx.dot(fx)) + float(c.dot(z))
     if not math.isfinite(gval):
         raise NumericalFailure("non-finite objective at the start point", iteration=0)
     # From here on c and z are finite: a non-finite entry of either would
@@ -326,20 +332,21 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     inner = 0
     stall = 0
     for k in range(1, opts.inner_max + 1):
-        np.multiply(grad, alpha, out=scratch)
-        np.subtract(z, scratch, out=scratch)
-        np.maximum(scratch, 0.0, out=zh)
+        alpha_[()] = alpha
+        np.multiply(grad, alpha_, out=zh)
+        np.subtract(z, zh, out=zh)
+        np.maximum(zh, zeros, out=zh)
         np.subtract(zh, z, out=d)
         # No separate test for d == 0 (a projected-gradient fixed point):
         # the gradient is then finite, since an infinite or NaN entry of
         # phi^T fx moves zh in one of the two halves (short of g + c
         # overflowing), so gd == 0 and the descent test stops at that step.
-        gd = float(grad @ d)
+        gd = float(grad.dot(d))
         if gd >= 0.0:
             break  # fixed point, or descent exhausted at floating-point resolution
         np.subtract(d_u, d_v, out=dx)
         fd = phi @ dx
-        dbd = float(fd @ fd)
+        dbd = float(fd.dot(fd))
         beta = 1.0 if dbd <= 0.0 else min(1.0, -gd / dbd)
         predicted = -(beta * gd + 0.5 * beta * beta * dbd)
         if predicted <= tol * max(abs(gval), 1e-12):
@@ -348,19 +355,20 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
                 break  # negligible progress at this tolerance: stay put
         else:
             stall = 0
-        if beta == 1.0:
-            z, zh = zh, np.empty(2 * n)
-        else:
-            np.multiply(d, beta, out=scratch)
-            np.add(z, scratch, out=scratch)
-            z = np.maximum(scratch, 0.0)
-            np.multiply(fd, beta, out=fd)
+        if beta != 1.0:  # zh becomes max(z + beta * d, 0); at beta == 1 it already is
+            beta_[()] = beta
+            np.multiply(d, beta_, out=zh)
+            np.add(z, zh, out=zh)
+            np.maximum(zh, zeros, out=zh)
+            np.multiply(fd, beta_, out=fd)
+        # A hook may keep z: then the next step goes to a fresh buffer.
+        z, zh = zh, (z if on_iterate is None else np.empty(2 * n))
         if k % 64 == 0:
             fx = phi @ _unsplit(z)  # refresh incremental product against drift
         else:
             np.add(fx, fd, out=fx)
         set_grad(fx)
-        gnew = 0.5 * float(fx @ fx) + float(c @ z)
+        gnew = 0.5 * float(fx.dot(fx)) + float(c.dot(z))
         inner = k
         # c is finite, so a non-finite z also makes c @ z and gnew non-finite.
         if not math.isfinite(gnew):
@@ -368,7 +376,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
         if on_iterate is not None:
             on_iterate(k, z, gnew, alpha)
         # BB step from the accepted move; beta cancels in the ratio.
-        alpha = min(max(float(d @ d) / dbd, _ALPHA_MIN), _ALPHA_MAX) \
+        alpha = min(max(float(d.dot(d)) / dbd, _ALPHA_MIN), _ALPHA_MAX) \
             if dbd > 0.0 else _ALPHA_MAX
         gval = gnew
     return z, inner
@@ -450,20 +458,25 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
     objective decrease falls to tol, or at inner_max.  Returns (x, inner
     iterations, stopped on tol); `on_iterate(x)` is called after each step.
 
-    Every iterate is a fresh array that is never written afterwards, so the
-    x handed to on_iterate and the returned x stay valid after later
-    iterations and later calls.  The working vectors of an iteration live
-    in buffers allocated once per call.
+    Ownership: with a hook, every iterate is a fresh array that is never
+    written afterwards, so the x handed to on_iterate stays valid after
+    later iterations and later calls.  Without one, every iterate is
+    written into one work buffer allocated once per call.  Either way the
+    returned x belongs to the caller: no later call writes it, and it
+    shares no memory with the start x.
     """
     phi = p.phi.phi
-    lam = p.rho / L
-    a = np.empty(p.phi.n)
-    mag = np.empty(p.phi.n)
+    n = p.phi.n
+    a = np.empty(n)
+    mag = np.empty(n)
     r = np.empty(p.phi.m)
+    zeros = np.zeros(n)
+    # L and rho / L as 0-d arrays, which ufuncs take faster than floats.
+    L_, lam = np.array(L), np.array(p.rho / L)
 
     def objective(fx_):  # mag must hold |x|
         np.subtract(p.y, fx_, out=r)
-        return 0.5 * float(r @ r) + p.rho * float(mag.sum())
+        return 0.5 * float(r.dot(r)) + p.rho * float(np.add.reduce(mag))
 
     fx = phi @ x
     np.abs(x, out=mag)
@@ -473,13 +486,14 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
         # in that order.
         g = phi.T @ fx
         np.subtract(g, pty, out=g)
-        np.divide(g, L, out=g)
+        np.divide(g, L_, out=g)
         np.subtract(x, g, out=a)
         np.abs(a, out=mag)
         np.subtract(mag, lam, out=mag)
-        np.maximum(mag, 0.0, out=mag)
+        np.maximum(mag, zeros, out=mag)
         # mag is now |x| exactly, NaN and zeros included: |sign(a)| * mag.
-        x = np.sign(a, out=a) * mag
+        # Without a hook x is a itself, which the next step reads before writing.
+        x = np.multiply(np.sign(a, out=a), mag, out=a if on_iterate is None else None)
         fx = phi @ x
         f_new = objective(fx)
         # No separate test of x: rho > 0, so a non-finite entry of x makes

@@ -209,6 +209,16 @@ def test_bench_bad_config_key(tmp_path, capsys):
     assert "antennas" in capsys.readouterr().err
 
 
+def test_bench_non_finite_snr_point_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("n_antennas=16\nsparsity=2\nm=12\nk=4\nsamples=1\n"
+                   "snr_grid=10,inf\nsolvers=omp\n")
+    code = cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "snr_grid points must be finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     code = cli_main(["generate", "--frobnicate", "--out", "x"])
     assert code == 1

@@ -70,6 +70,17 @@ def test_parse_config_rejects_duplicates_and_garbage():
         parse_config("solvers=gpsr,dc_gpsr,gpsr\n")
 
 
+@pytest.mark.parametrize("grid, message", [("5,5", "duplicate point 5 in snr_grid"),
+                                           ("0,-0", "duplicate point -0 in snr_grid"),
+                                           ("nan", "finite, got nan"),
+                                           ("10,inf", "finite, got inf"),
+                                           ("-inf", "finite, got -inf")])
+def test_parse_config_rejects_duplicate_and_non_finite_snr_points(grid, message):
+    # A duplicate point would solve its cells twice; a non-finite one has no cell seed.
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"snr_grid={grid}\n")
+
+
 def test_parse_config_rejects_dc_proximal():
     with pytest.raises(ConfigError, match=r"unknown solver 'dc_proximal'; choose from "
                                           r"\['dc_gpsr', 'gpsr', 'ista', 'omp'\]$"):

@@ -610,6 +610,9 @@ def assert_same_as_reference(p, w_z, z0, opts=None, **kw):
     for (k, zk, g, a), (k_ref, zk_ref, g_ref, a_ref) in zip(seen, seen_ref):
         assert (k, g, a) == (k_ref, g_ref, a_ref)
         assert np.array_equal(zk, zk_ref)
+    # Without a hook the iterates live in reused buffers: same bytes, same count.
+    z_untraced, inner_untraced = solve_bcqp_gp(p, w_z, z0, opts, **kw)
+    assert z_untraced.tobytes() == z_ref.tobytes() and inner_untraced == inner_ref
     return inner
 
 
@@ -827,6 +830,9 @@ def assert_prox_same_as_reference(p, x0=None, tol=1e-8, inner_max=4000):
     assert (inner, done) == (inner_ref, done_ref)
     assert len(seen) == len(seen_ref) == inner
     assert all(np.array_equal(a, b) for a, b in zip(seen, seen_ref))
+    # Without a hook the iterates live in a reused buffer: same bytes, same counts.
+    x_untraced, *counts = _solve_prox(p, pty, x0, L, tol, inner_max)
+    assert x_untraced.tobytes() == x_ref.tobytes() and counts == [inner_ref, done_ref]
     return inner, done
 
 
@@ -869,6 +875,31 @@ def test_prox_iterates_are_never_overwritten():
         assert not np.shares_memory(xk, x0)
         if i:
             assert not np.shares_memory(xk, kept[i - 1])
+
+
+def test_untraced_results_belong_to_the_caller():
+    # Without a hook both loops reuse work buffers; what they return must
+    # still be the caller's: no later call writes it, and it shares no
+    # memory with the inputs.
+    p, x_true = small_problem(25, m=16, n=32, k=4)
+    w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
+    z0 = np.abs(make_rng(10).standard_normal(64))
+    x0 = make_rng(11).standard_normal(32)
+    pty = p.phi.phi.T @ p.y
+    L = _power_lam_max(p.phi.phi)
+    for cap in (1, 2, 3, 150):  # odd and even step counts: either work buffer last
+        opts = SolverOptions(inner_tol=1e-300, inner_max=cap)
+        z, inner = solve_bcqp_gp(p, w_z, z0, opts)
+        x, j, _ = _solve_prox(p, pty, x0, L, 1e-300, cap)
+        assert inner == j == cap
+        z_kept, x_kept = z.copy(), x.copy()
+        solve_bcqp_gp(p, w_z, z0, opts)
+        solve_bcqp_gp(p, w_z, z, opts)  # a later call started at the result
+        _solve_prox(p, pty, x0, L, 1e-300, cap)
+        _solve_prox(p, pty, x, L, 1e-300, cap)
+        assert z.tobytes() == z_kept.tobytes() and x.tobytes() == x_kept.tobytes()
+        assert not np.shares_memory(z, z0) and not np.shares_memory(z, w_z)
+        assert not np.shares_memory(x, x0)
 
 
 def test_traced_benchmark_spans_are_called(count_calls):
