@@ -11,6 +11,7 @@ Exit status: 0 success, 1 validation or usage error, 2 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -127,6 +128,8 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     phi, y = _load_problem_files(args.phi, args.y)
     rho = default_rho(phi, y) if args.rho == "auto" else float(args.rho)
+    if args.rho != "auto" and not math.isfinite(rho):
+        raise ValueError(f"--rho must be finite, got {args.rho}")
     problem = SparseProblem(y=y, phi=phi, k=args.k, rho=rho)
     truth = _load_real_vector(args.truth) if args.truth else None
     # Per-inner-iteration trace points only when --out writes the trace.

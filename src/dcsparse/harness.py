@@ -25,6 +25,11 @@ from .solvers import (SolverOptions, SparseProblem, dc_gpsr, default_rho,
 _NOISELESS_KEY = -1
 
 
+def _snr_key(snr_db: float) -> int:
+    """The SNR in whole millibels, as cell seeds take it."""
+    return int(round(snr_db * 1000))
+
+
 class ConfigError(ValueError):
     """Invalid or unknown experiment configuration entry."""
 
@@ -82,14 +87,18 @@ class ExperimentConfig:
             raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
         if isinstance(self.rho_rule, str) and self.rho_rule != "auto":
             raise ConfigError(f"rho_rule must be 'auto' or a positive number, got {self.rho_rule!r}")
-        if not isinstance(self.rho_rule, str) and not self.rho_rule > 0:
-            raise ConfigError(f"rho_rule must be > 0, got {self.rho_rule}")
+        if not isinstance(self.rho_rule, str) and not 0 < self.rho_rule < math.inf:
+            raise ConfigError(f"rho_rule must be finite and > 0, got {self.rho_rule}")
         self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
-        for i, snr_db in enumerate(self.snr_grid_db):
+        seen = {}  # millibel key -> grid point
+        for snr_db in self.snr_grid_db:
             if not math.isfinite(snr_db):
                 raise ConfigError(f"snr_grid points must be finite, got {snr_db}")
-            if snr_db in self.snr_grid_db[:i]:
-                raise ConfigError(f"duplicate point {snr_db:g} in snr_grid")
+            key = _snr_key(snr_db)
+            if key in seen:
+                raise ConfigError(f"duplicate point {snr_db:g} in snr_grid: its cells would "
+                                  f"take the seeds of {seen[key]:g} ({key} millibels)")
+            seen[key] = snr_db
         self.solvers = tuple(self.solvers)
         for i, name in enumerate(self.solvers):
             if name not in SOLVER_REGISTRY:
@@ -172,7 +181,7 @@ def load_config(path) -> ExperimentConfig:
 
 def cell_seed(base_seed: int, sample_index: int, snr_db: float | None) -> int:
     """Seed of one benchmark cell; SNR enters in millibels so grid edits are local."""
-    key = _NOISELESS_KEY if snr_db is None else int(round(snr_db * 1000))
+    key = _NOISELESS_KEY if snr_db is None else _snr_key(snr_db)
     return derive_seed(base_seed, sample_index, key)
 
 

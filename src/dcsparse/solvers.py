@@ -19,8 +19,8 @@ each warm-started at the previous solution, so that start is cheap.
 The l1 baselines are gpsr_baseline, one solve_bcqp_gp pass with a zero
 subgradient at rho, and ista, proximal-gradient iterations on the
 unsplit l1 problem (_solve_prox).  One routine (_l1_baseline) traces
-every inner iterate of either, evaluated _TRACE_BATCH at a time
-(_InnerTrace), or with inner_trace=False only the start and end points.
+every inner iterate of either, evaluated _TRACE_BATCH at a time, or with
+inner_trace=False only the start and end points.
 omp and a brute-force cardinality-constrained least-squares oracle round
 out the benchmark set.
 """
@@ -278,12 +278,10 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     after every accepted step.  `tol` overrides opts.inner_tol (used by
     the DC outer loop to tighten subproblems as it converges).
 
-    Ownership: with a hook, every iterate is a fresh array that is never
-    written afterwards, so the z handed to on_iterate stays valid after
-    later iterations and later calls.  Without one, the iterates ping-pong
-    between two work buffers allocated once per call.  Either way the
-    returned z belongs to the caller: no later call writes it, and it
-    shares no memory with z0 or w_z.
+    Ownership: the iterates ping-pong between two work buffers allocated
+    once per call, so a later step overwrites the z handed to on_iterate,
+    and a hook copies what it keeps.  The returned z belongs to the caller:
+    no later call writes it, and it shares no memory with z0 or w_z.
     """
     opts = SolverOptions() if opts is None else opts
     tol = opts.inner_tol if tol is None else tol
@@ -361,8 +359,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
             np.add(z, zh, out=zh)
             np.maximum(zh, zeros, out=zh)
             np.multiply(fd, beta_, out=fd)
-        # A hook may keep z: then the next step goes to a fresh buffer.
-        z, zh = zh, (z if on_iterate is None else np.empty(2 * n))
+        z, zh = zh, z
         if k % 64 == 0:
             fx = phi @ _unsplit(z)  # refresh incremental product against drift
         else:
@@ -419,36 +416,6 @@ def _record_batch(trace: SolverTrace, p: SparseProblem, x: np.ndarray,
     trace.outer_steps.extend([1] * len(x))
 
 
-class _InnerTrace:
-    """Full trace of an l1 baseline's inner iterates, x = to_x(iterate).
-
-    add() keeps a reference to each iterate, which the inner solvers never
-    write again, and every _TRACE_BATCH of them go to _record_batch
-    together.  The newest iterate is always held back, so finish() records
-    the final point through _record, bit-equal to the compact trace's end.
-    """
-
-    def __init__(self, trace: SolverTrace, p: SparseProblem, to_x, ground_truth):
-        self.trace, self.p, self.to_x, self.ground_truth = trace, p, to_x, ground_truth
-        self.held = []
-
-    def add(self, iterate: np.ndarray) -> None:
-        self.held.append(iterate)
-        if len(self.held) > _TRACE_BATCH:
-            self._evaluate(_TRACE_BATCH)
-
-    def _evaluate(self, count: int) -> None:
-        _record_batch(self.trace, self.p, self.to_x(np.array(self.held[:count])),
-                      self.ground_truth)
-        del self.held[:count]
-
-    def finish(self) -> None:
-        if len(self.held) > 1:
-            self._evaluate(len(self.held) - 1)
-        if self.held:
-            _record(self.trace, self.p, self.to_x(self.held.pop()), 1, 1, self.ground_truth)
-
-
 def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
                 tol: float, inner_max: int, on_iterate=None):
     """Proximal gradients for min 0.5 ||y - phi x||^2 + rho ||x||_1, pty = phi^T y.
@@ -458,12 +425,10 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
     objective decrease falls to tol, or at inner_max.  Returns (x, inner
     iterations, stopped on tol); `on_iterate(x)` is called after each step.
 
-    Ownership: with a hook, every iterate is a fresh array that is never
-    written afterwards, so the x handed to on_iterate stays valid after
-    later iterations and later calls.  Without one, every iterate is
-    written into one work buffer allocated once per call.  Either way the
-    returned x belongs to the caller: no later call writes it, and it
-    shares no memory with the start x.
+    Ownership: every iterate is written into one work buffer allocated
+    once per call, so the next step overwrites the x handed to on_iterate,
+    and a hook copies what it keeps.  The returned x belongs to the caller:
+    no later call writes it, and it shares no memory with the start x.
     """
     phi = p.phi.phi
     n = p.phi.n
@@ -492,8 +457,8 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
         np.subtract(mag, lam, out=mag)
         np.maximum(mag, zeros, out=mag)
         # mag is now |x| exactly, NaN and zeros included: |sign(a)| * mag.
-        # Without a hook x is a itself, which the next step reads before writing.
-        x = np.multiply(np.sign(a, out=a), mag, out=a if on_iterate is None else None)
+        # x is a itself, which the next step reads before writing.
+        x = np.multiply(np.sign(a, out=a), mag, out=a)
         fx = phi @ x
         f_new = objective(fx)
         # No separate test of x: rho > 0, so a non-finite entry of x makes
@@ -557,22 +522,31 @@ def dc_gpsr(p: SparseProblem, *, opts: SolverOptions | None = None,
     return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=t)
 
 
-def _l1_baseline(p: SparseProblem, ground_truth, inner_trace: bool, to_x,
-                 solve) -> ReconResult:
+def _l1_baseline(p: SparseProblem, ground_truth, inner_trace: bool, solve) -> ReconResult:
     """Trace and result of one l1 inner solve from x = 0, as gpsr_baseline describes.
 
-    solve(add) runs it, calling add(iterate) after every step unless add is
-    None, and returns (x, inner iterations, converged); to_x maps an
-    iterate to its x.
+    solve(add) runs it, calling add(x) with a copy of the iterate's x after
+    every step unless add is None, and returns (x, inner iterations,
+    converged).  The copies are held, and every _TRACE_BATCH of them go to
+    _record_batch together.  The newest is always held back: the end point
+    is recorded from the returned x by _record, for the full and the
+    compact trace alike, and carries the inner iterations not yet traced.
     """
     trace = SolverTrace()
     _record(trace, p, np.zeros(p.phi.n), 0, 0, ground_truth)
-    points = _InnerTrace(trace, p, to_x, ground_truth) if inner_trace else None
-    x, inner, converged = solve(None if points is None else points.add)
-    if points is not None:
-        points.finish()
-    elif inner:
-        _record(trace, p, x, inner, 1, ground_truth)
+    held = []
+
+    def add(x):
+        held.append(x)
+        if len(held) > _TRACE_BATCH:
+            _record_batch(trace, p, np.array(held[:-1]), ground_truth)
+            del held[:-1]
+
+    x, inner, converged = solve(add if inner_trace else None)
+    if len(held) > 1:
+        _record_batch(trace, p, np.array(held[:-1]), ground_truth)
+    if inner:  # after the start point, each batched point took one iteration
+        _record(trace, p, x, inner - (len(trace.inner_counts) - 1), 1, ground_truth)
     return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1)
 
 
@@ -584,7 +558,7 @@ def gpsr_baseline(p: SparseProblem, *, opts: SolverOptions | None = None,
     Minimizes 0.5 ||y - phi x||^2 + rho ||x||_1.  With inner_trace the
     trace records every inner iteration, so objective evolutions can be
     plotted against the DC solver's; the points between the start and the
-    end are evaluated in batches (_InnerTrace) and agree with _record's
+    end are evaluated in batches (_record_batch) and agree with _record's
     values to round-off.  Without it, only the start point and the end
     point, which carries the whole inner count (none after 0 iterations).
     Both give the same result and the same first and last trace points.
@@ -595,10 +569,10 @@ def gpsr_baseline(p: SparseProblem, *, opts: SolverOptions | None = None,
     def solve(add):
         z, inner = solve_bcqp_gp(
             p, np.zeros(2 * n), np.zeros(2 * n), opts,
-            on_iterate=None if add is None else lambda k, z, gval, alpha: add(z))
+            on_iterate=None if add is None else lambda k, z, gval, alpha: add(_unsplit(z)))
         return _unsplit(z), inner, inner < opts.inner_max
 
-    return _l1_baseline(p, ground_truth, inner_trace, _unsplit, solve)
+    return _l1_baseline(p, ground_truth, inner_trace, solve)
 
 
 def ista(p: SparseProblem, *, opts: SolverOptions | None = None,
@@ -615,9 +589,10 @@ def ista(p: SparseProblem, *, opts: SolverOptions | None = None,
     def solve(add):
         lam = _lam_max(p.phi)
         return _solve_prox(p, p.phi.phi.T @ p.y, np.zeros(p.phi.n), lam if lam > 0 else 1.0,
-                           opts.inner_tol, opts.inner_max, on_iterate=add)
+                           opts.inner_tol, opts.inner_max,
+                           on_iterate=None if add is None else lambda x: add(x.copy()))
 
-    return _l1_baseline(p, ground_truth, inner_trace, np.asarray, solve)
+    return _l1_baseline(p, ground_truth, inner_trace, solve)
 
 
 def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:

@@ -102,6 +102,16 @@ def test_solve_numerical_failure_exit_2(instance_dir, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["dc_gpsr", "omp"])
+@pytest.mark.parametrize("rho", ["inf", "1e400"])
+def test_solve_rejects_non_finite_rho(instance_dir, capsys, solver, rho):
+    code = cli_main(["solve", "--phi", str(instance_dir / "phi.csv"),
+                     "--y", str(instance_dir / "y.csv"), "--k", "4", "--solver", solver,
+                     "--rho", rho])
+    assert code == 1
+    assert f"--rho must be finite, got {rho}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, complex_arg", [
     ("solve", "--y"), ("solve", "--truth"), ("oracle", "--truth")])
 def test_complex_vector_rejected(instance_dir, capsys, command, complex_arg):

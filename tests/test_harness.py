@@ -72,11 +72,13 @@ def test_parse_config_rejects_duplicates_and_garbage():
 
 @pytest.mark.parametrize("grid, message", [("5,5", "duplicate point 5 in snr_grid"),
                                            ("0,-0", "duplicate point -0 in snr_grid"),
+                                           ("5,5.0004", "duplicate point 5.0004 in snr_grid"),
                                            ("nan", "finite, got nan"),
                                            ("10,inf", "finite, got inf"),
                                            ("-inf", "finite, got -inf")])
 def test_parse_config_rejects_duplicate_and_non_finite_snr_points(grid, message):
-    # A duplicate point would solve its cells twice; a non-finite one has no cell seed.
+    # A duplicate point would solve its cells twice, and points in one
+    # millibel would share their cell seeds; a non-finite one has no cell seed.
     with pytest.raises(ConfigError, match=message):
         parse_config(f"snr_grid={grid}\n")
 
@@ -98,6 +100,9 @@ def test_config_validation_field_names():
         tiny_config(solvers=("omp", "dc_gpsr", "omp"))
     with pytest.raises(ConfigError, match="rho"):
         tiny_config(rho_rule=-1.0)
+    for rho in ("inf", "1e400"):
+        with pytest.raises(ConfigError, match="rho_rule must be finite"):
+            parse_config(f"rho={rho}\n")
 
 
 def test_k_real_defaults_to_twice_sparsity():
@@ -272,6 +277,8 @@ def test_adding_snr_points_preserves_existing_cells():
 def test_cell_seed_distinct_for_noiseless_and_snr():
     assert cell_seed(1, 0, None) != cell_seed(1, 0, 10.0)
     assert cell_seed(1, 0, 10.0) != cell_seed(1, 0, 10.001)
+    # Points a millibel apart have their own seeds, so a grid may hold both.
+    assert parse_config("snr_grid=5,5.001\n").snr_grid_db == (5.0, 5.001)
 
 
 def test_records_csv_byte_identical_except_wall(tmp_path):

@@ -489,7 +489,7 @@ def test_power_method_runs_once_per_operator(count_calls):
 
 
 def trace_batches(points):
-    """Batches _InnerTrace evaluates for `points` inner iterates: all but the last."""
+    """Batches a full trace evaluates for `points` inner iterates: all but the last."""
     return -(-(points - 1) // _TRACE_BATCH) if points else 0
 
 
@@ -601,7 +601,8 @@ def assert_same_as_reference(p, w_z, z0, opts=None, **kw):
     runs = []
     for solve in (solve_bcqp_gp, reference_solve_bcqp_gp):
         seen = []
-        z, inner = solve(p, w_z, z0, opts, on_iterate=lambda *a: seen.append(a), **kw)
+        z, inner = solve(p, w_z, z0, opts, **kw,
+                         on_iterate=lambda k, z, g, a: seen.append((k, z.copy(), g, a)))
         runs.append((z, inner, seen))
     (z, inner, seen), (z_ref, inner_ref, seen_ref) = runs
     assert np.array_equal(z, z_ref)
@@ -644,33 +645,6 @@ def test_bcqp_matches_reference_loop_across_product_refresh():
     p, _ = small_problem(21, m=16, n=32, k=4)
     opts = SolverOptions(inner_tol=1e-300, inner_max=300)
     assert assert_same_as_reference(p, np.zeros(64), np.zeros(64), opts) == 300
-
-
-def test_bcqp_iterates_are_never_overwritten():
-    p, x_true = small_problem(22, m=16, n=32, k=4)
-    w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
-    z0 = np.abs(make_rng(7).standard_normal(64))
-    opts = SolverOptions(inner_tol=1e-300, inner_max=150)
-    kept, snapshots = [], []
-
-    def keep(k, z, gval, alpha):
-        kept.append(z)
-        snapshots.append(z.copy())
-
-    z, inner = solve_bcqp_gp(p, w_z, z0, opts, on_iterate=keep)
-    assert inner == len(kept) == 150
-    assert z is kept[-1]
-    solve_bcqp_gp(p, w_z, z0, opts, on_iterate=lambda *a: None)  # a later call
-    for i, zk in enumerate(kept):
-        assert np.array_equal(zk, snapshots[i])
-        assert not np.shares_memory(zk, z0) and not np.shares_memory(zk, w_z)
-        if i:
-            assert not np.shares_memory(zk, kept[i - 1])
-    # A start that is already optimal is returned as a copy.
-    q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
-    z0 = np.zeros(64)
-    z, inner = solve_bcqp_gp(q, np.zeros(64), z0)
-    assert inner == 0 and not np.shares_memory(z, z0)
 
 
 @pytest.mark.parametrize("solver", [gpsr_baseline, ista])
@@ -733,7 +707,7 @@ def l1_iterates(monkeypatch):
         monkeypatch.setattr(dcsparse.solvers, solve.__name__, wrapped)
 
     keep(solve_bcqp_gp, 1, lambda z: z[:z.size // 2] - z[z.size // 2:])
-    keep(_solve_prox, 0, lambda x: x)
+    keep(_solve_prox, 0, lambda x: x.copy())
     return seen
 
 
@@ -823,7 +797,8 @@ def assert_prox_same_as_reference(p, x0=None, tol=1e-8, inner_max=4000):
     runs = []
     for solve in (_solve_prox, reference_solve_prox):
         seen = []
-        x, inner, done = solve(p, pty, x0, L, tol, inner_max, on_iterate=seen.append)
+        x, inner, done = solve(p, pty, x0, L, tol, inner_max,
+                               on_iterate=lambda x: seen.append(x.copy()))
         runs.append((x, inner, done, seen))
     (x, inner, done, seen), (x_ref, inner_ref, done_ref, seen_ref) = runs
     assert np.array_equal(x, x_ref)
@@ -855,32 +830,11 @@ def test_prox_matches_reference_loop_degenerate_inputs():
     assert assert_prox_same_as_reference(p, tol=1e-300, inner_max=60) == (60, False)
 
 
-def test_prox_iterates_are_never_overwritten():
-    p, _ = small_problem(22, m=16, n=32, k=4)
-    x0 = make_rng(9).standard_normal(32)
-    pty = p.phi.phi.T @ p.y
-    L = _power_lam_max(p.phi.phi)
-    kept, snapshots = [], []
-
-    def keep(x):
-        kept.append(x)
-        snapshots.append(x.copy())
-
-    x, inner, _ = _solve_prox(p, pty, x0, L, 1e-300, 150, on_iterate=keep)
-    assert inner == len(kept) == 150
-    assert x is kept[-1]
-    _solve_prox(p, pty, x0, L, 1e-300, 150)  # a later call
-    for i, xk in enumerate(kept):
-        assert np.array_equal(xk, snapshots[i])
-        assert not np.shares_memory(xk, x0)
-        if i:
-            assert not np.shares_memory(xk, kept[i - 1])
-
-
-def test_untraced_results_belong_to_the_caller():
-    # Without a hook both loops reuse work buffers; what they return must
-    # still be the caller's: no later call writes it, and it shares no
-    # memory with the inputs.
+@pytest.mark.parametrize("on_iterate", [None, lambda *step: None], ids=["no_hook", "no-op_hook"])
+def test_results_belong_to_the_caller(on_iterate):
+    # Both loops reuse work buffers, with a hook or without; what they
+    # return must still be the caller's: no later call writes it, and it
+    # shares no memory with the inputs.
     p, x_true = small_problem(25, m=16, n=32, k=4)
     w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
     z0 = np.abs(make_rng(10).standard_normal(64))
@@ -889,17 +843,22 @@ def test_untraced_results_belong_to_the_caller():
     L = _power_lam_max(p.phi.phi)
     for cap in (1, 2, 3, 150):  # odd and even step counts: either work buffer last
         opts = SolverOptions(inner_tol=1e-300, inner_max=cap)
-        z, inner = solve_bcqp_gp(p, w_z, z0, opts)
-        x, j, _ = _solve_prox(p, pty, x0, L, 1e-300, cap)
+        z, inner = solve_bcqp_gp(p, w_z, z0, opts, on_iterate=on_iterate)
+        x, j, _ = _solve_prox(p, pty, x0, L, 1e-300, cap, on_iterate=on_iterate)
         assert inner == j == cap
         z_kept, x_kept = z.copy(), x.copy()
-        solve_bcqp_gp(p, w_z, z0, opts)
-        solve_bcqp_gp(p, w_z, z, opts)  # a later call started at the result
-        _solve_prox(p, pty, x0, L, 1e-300, cap)
-        _solve_prox(p, pty, x, L, 1e-300, cap)
+        solve_bcqp_gp(p, w_z, z0, opts, on_iterate=on_iterate)
+        solve_bcqp_gp(p, w_z, z, opts, on_iterate=on_iterate)  # a later call started at the result
+        _solve_prox(p, pty, x0, L, 1e-300, cap, on_iterate=on_iterate)
+        _solve_prox(p, pty, x, L, 1e-300, cap, on_iterate=on_iterate)
         assert z.tobytes() == z_kept.tobytes() and x.tobytes() == x_kept.tobytes()
         assert not np.shares_memory(z, z0) and not np.shares_memory(z, w_z)
         assert not np.shares_memory(x, x0)
+    # A start that is already optimal is returned as a copy.
+    q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
+    z0 = np.zeros(64)
+    z, inner = solve_bcqp_gp(q, np.zeros(64), z0, on_iterate=on_iterate)
+    assert inner == 0 and not np.shares_memory(z, z0)
 
 
 def test_traced_benchmark_spans_are_called(count_calls):
