@@ -26,8 +26,20 @@ _NOISELESS_KEY = -1
 
 
 def _snr_key(snr_db: float) -> int:
-    """The SNR in whole millibels, as cell seeds take it."""
-    return int(round(snr_db * 1000))
+    """The SNR in whole millibels, as cell seeds take it.
+
+    Raises ConfigError for an SNR that has no key of its own: one whose
+    millibel value overflows (1e306 dB) and one whose key is the noiseless
+    study's (-0.001 dB), which would draw that study's cells.
+    """
+    millibels = snr_db * 1000
+    if not math.isfinite(millibels):
+        raise ConfigError(f"SNR {snr_db:g} dB has no finite millibel seed key")
+    key = int(round(millibels))
+    if key == _NOISELESS_KEY:
+        raise ConfigError(f"SNR {snr_db:g} dB would take the noiseless study's seed key "
+                          f"({key} millibels)")
+    return key
 
 
 class ConfigError(ValueError):
@@ -180,7 +192,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def cell_seed(base_seed: int, sample_index: int, snr_db: float | None) -> int:
-    """Seed of one benchmark cell; SNR enters in millibels so grid edits are local."""
+    """Seed of one benchmark cell; SNR enters in millibels so grid edits are local.
+
+    An SNR without a millibel key of its own raises ConfigError, a ValueError.
+    """
     key = _NOISELESS_KEY if snr_db is None else _snr_key(snr_db)
     return derive_seed(base_seed, sample_index, key)
 

@@ -46,17 +46,14 @@ from .sparsity import sparsity_gap, split_pos_neg, top_k1_subgradient
 _RHO_START = 0.1
 _RHO_DECAY = 0.3
 
-# Inner-solve tolerance schedule of dc_gpsr: steps above rho solve at
-# inner_tol, and the j-th step at rho (j = 1, 2, ...) at
-# max(inner_tol * _TOL_SHRINK**(j-1), _TOL_FLOOR), so early subproblems
-# stop at the configured practical tolerance while late ones are polished
-# to the floating-point floor.  The floor is expressed on the
-# *predicted* per-step decrease of solve_bcqp_gp, which stays resolvable
-# far below the ~1e-16 * |G| resolution of the objective values themselves.
-_TOL_SHRINK = 1e-2
+# Inner tolerance of dc_gpsr's polish steps, which re-solve an unchanged DC
+# subproblem, and the least tolerance of every other step.  It is expressed
+# on the *predicted* per-step decrease of solve_bcqp_gp, which stays
+# resolvable far below the ~1e-16 * |G| resolution of the objective values
+# themselves, so a polish step reaches the subproblem's floating-point floor.
 _TOL_FLOOR = 1e-26
 
-# dc_gpsr stops once a step at rho moves its split by at most _OUTER_TOL in 2-norm.
+# dc_gpsr stops once a polish step moves its split by at most _OUTER_TOL in 2-norm.
 _OUTER_TOL = 1e-14
 # Barzilai-Borwein steps of solve_bcqp_gp are clamped to [_ALPHA_MIN, _ALPHA_MAX].
 _ALPHA_MIN = 1e-30
@@ -275,8 +272,8 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     point or at inner_max.
 
     Returns (z, inner_iterations).  `on_iterate(k, z, G, alpha)` is called
-    after every accepted step.  `tol` overrides opts.inner_tol (used by
-    the DC outer loop to tighten subproblems as it converges).
+    after every accepted step.  `tol` overrides opts.inner_tol (dc_gpsr
+    passes the tolerance of each outer step).
 
     Ownership: the iterates ping-pong between two work buffers allocated
     once per call, so a later step overwrites the z handed to on_iterate,
@@ -482,13 +479,14 @@ def dc_gpsr(p: SparseProblem, *, opts: SolverOptions | None = None,
     the nonnegativity-constrained quadratic with linear term
     split_pos_neg(w) by solve_bcqp_gp, warm-started at the previous z, at
     the weight max(rho, _RHO_START * ||phi^T y||_inf * _RHO_DECAY**(t-1)).
-    Steps above rho, and the first step at rho, are l1 solves (w = 0) at
-    inner_tol.  Later steps take w, the top-(k,1) subgradient at x (zero at
-    x == 0, where it lies in the subdifferential), with the tolerance
-    tightening from inner_tol to _TOL_FLOOR.  It stops once a step at rho
-    moves z by at most _OUTER_TOL, but only after a solve at _TOL_FLOOR: an
-    earlier such step re-solves at the floor.  Traces the start and every
-    step, each at rho.
+    Steps above rho, and the first step at rho, are l1 solves (w = 0).
+    Later steps, the DC steps, take w, the top-(k,1) subgradient at x (zero
+    at x == 0, where it lies in the subdifferential).  A DC step whose w
+    equals the previous DC step's repeats that subproblem and polishes it
+    at _TOL_FLOOR; every other step solves at max(inner_tol, _TOL_FLOOR).
+    It stops, converged, once a polish step moves z by at most _OUTER_TOL:
+    w no longer changes, so x is a DC critical point.  Traces the start and
+    every step, each at rho.
     """
     opts = SolverOptions() if opts is None else opts
     n = p.phi.n
@@ -498,27 +496,24 @@ def dc_gpsr(p: SparseProblem, *, opts: SolverOptions | None = None,
     trace = SolverTrace()
     _record(trace, p, x, 0, 0, ground_truth)
     converged = False
-    at_floor = False
-    at_rho = 0  # steps solved at p.rho so far
+    at_rho = False  # the steps after the first one at p.rho take the DC subgradient
+    w_dc = None  # w of the previous step, if that was a DC step
     for t in range(1, opts.outer_max + 1):
         rho_t = max(p.rho, rho_start * _RHO_DECAY ** (t - 1))
-        tol_t = _TOL_FLOOR if at_floor else max(opts.inner_tol * _TOL_SHRINK ** at_rho,
-                                                _TOL_FLOOR)
         w = top_k1_subgradient(x, p.k).w if at_rho and x.any() else np.zeros(n)
+        polish = w_dc is not None and np.array_equal(w, w_dc)
         z_new, inner = solve_bcqp_gp(replace(p, rho=rho_t), split_pos_neg(w), z, opts,
-                                     tol=tol_t)
+                                     tol=_TOL_FLOOR if polish else max(opts.inner_tol, _TOL_FLOOR))
         delta = float(np.linalg.norm(z_new - z))
         z = z_new
         x = _unsplit(z)
         _record(trace, p, x, inner, t, ground_truth)
-        if rho_t > p.rho:
-            continue
-        at_rho += 1
-        if delta <= _OUTER_TOL:
-            if tol_t <= _TOL_FLOOR:
-                converged = True
-                break
-            at_floor = True
+        if polish and delta <= _OUTER_TOL:
+            converged = True
+            break
+        if at_rho:
+            w_dc = w
+        at_rho = rho_t == p.rho
     return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=t)
 
 

@@ -229,6 +229,18 @@ def test_bench_non_finite_snr_point_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("point, message", [("1e306", "no finite millibel seed key"),
+                                            ("-0.001", "noiseless study's seed key")])
+def test_bench_snr_point_without_its_own_seed_key_exits_1(tmp_path, capsys, point, message):
+    cfg = tmp_path / "key.cfg"
+    cfg.write_text("n_antennas=16\nsparsity=2\nm=12\nk=4\nsamples=1\n"
+                   f"snr_grid=10,{point}\nsolvers=omp\n")
+    code = cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     code = cli_main(["generate", "--frobnicate", "--out", "x"])
     assert code == 1

@@ -75,10 +75,15 @@ def test_parse_config_rejects_duplicates_and_garbage():
                                            ("5,5.0004", "duplicate point 5.0004 in snr_grid"),
                                            ("nan", "finite, got nan"),
                                            ("10,inf", "finite, got inf"),
-                                           ("-inf", "finite, got -inf")])
+                                           ("-inf", "finite, got -inf"),
+                                           ("10,1e306", "no finite millibel seed key"),
+                                           ("10,-0.001", "noiseless study's seed key"),
+                                           ("10,-0.0006", "noiseless study's seed key")])
 def test_parse_config_rejects_duplicate_and_non_finite_snr_points(grid, message):
     # A duplicate point would solve its cells twice, and points in one
-    # millibel would share their cell seeds; a non-finite one has no cell seed.
+    # millibel would share their cell seeds; a non-finite one has no cell
+    # seed, nor has one whose millibel key overflows or is the noiseless
+    # study's (-1), whose cells it would draw.
     with pytest.raises(ConfigError, match=message):
         parse_config(f"snr_grid={grid}\n")
 
@@ -281,6 +286,21 @@ def test_cell_seed_distinct_for_noiseless_and_snr():
     assert parse_config("snr_grid=5,5.001\n").snr_grid_db == (5.0, 5.001)
 
 
+@pytest.mark.parametrize("snr_db, message", [(-0.001, "noiseless study's seed key"),
+                                             (-0.0014, "noiseless study's seed key"),
+                                             (-1e306, "no finite millibel seed key")])
+def test_cell_seed_rejects_an_snr_without_its_own_key(snr_db, message):
+    with pytest.raises(ValueError, match=message):
+        cell_seed(42, 0, snr_db)
+
+
+def test_cell_seeds_next_to_the_rejected_keys_are_unchanged():
+    assert cell_seed(42, 0, None) == 16812319771013374243
+    assert cell_seed(42, 0, -0.002) == 17920742538596736756
+    assert cell_seed(42, 0, -0.0005) == 6168158941143839527
+    assert cell_seed(42, 3, 25.0) == 12205281700788877967
+
+
 def test_records_csv_byte_identical_except_wall(tmp_path):
     cfg = tiny_config()
     run_noiseless_study(cfg, out_dir=tmp_path / "a")
@@ -319,3 +339,15 @@ def test_benchmark_scale_outer_iterations():
     records, traces = run_noiseless_study(cfg)
     assert records[0].outer_iters <= 20
     assert records[0].nse <= 1e-20
+
+
+def test_dc_gpsr_recovers_the_harness_seed_stream():
+    # The first 200 noiseless cells of base seed 42 at benchmark scale.  The
+    # bound is the count before the polish rule replaced the tolerance
+    # ladder: 196 exact, all converged.  The 4 misses (samples 0, 4, 25 and
+    # 52) are each the weak half of a complex bin whose other half the
+    # top-(k,1) subgradient selects (ROADMAP item 1).
+    cfg = ExperimentConfig(num_samples=200, solvers=("dc_gpsr",), base_seed=42)
+    records, _ = run_noiseless_study(cfg)
+    assert sum(r.nse <= 1e-20 for r in records) >= 196
+    assert all(r.converged for r in records)

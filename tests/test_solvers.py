@@ -457,18 +457,27 @@ def test_dc_gpsr_solves_step_one_below_the_tolerance_floor(monkeypatch):
     assert all(tol == _TOL_FLOOR for _, tol, _ in calls)
 
 
-def test_dc_gpsr_accepts_the_outer_stop_only_after_a_solve_at_the_floor(monkeypatch):
-    # A step that barely moves z before the tolerance schedule reaches
-    # _TOL_FLOOR (at the 10th step at rho for inner_tol 1e-8) sends the
-    # next solve to the floor, and only a solve there may end the loop.
-    calls = solve_calls(monkeypatch)
-    early = 0
+def test_dc_gpsr_polishes_at_the_floor_exactly_when_the_subproblem_repeats(monkeypatch):
+    # A step solves at _TOL_FLOOR exactly when it follows the first DC step
+    # (the second step at rho) and its w_z equals the previous call's; only
+    # such a polish may end the loop, converged.
+    calls = []
+    solve = dcsparse.solvers.solve_bcqp_gp
+
+    def spy(p_, w_z, *args, tol=None, **kwargs):
+        calls.append((p_.rho, tol, w_z.copy()))
+        return solve(p_, w_z, *args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(dcsparse.solvers, "solve_bcqp_gp", spy)
     for p in engine_problems():
         calls.clear()
         res = dc_gpsr(p)
-        assert res.converged and calls[-1][:2] == (p.rho, _TOL_FLOOR)
-        early += sum(rho == p.rho for rho, _, _ in calls) < 10
-    assert early > 0
+        first_dc = [rho for rho, _, _ in calls].index(p.rho) + 1
+        polish = [t > first_dc and np.array_equal(w_z, calls[t - 1][2])
+                  for t, (_, _, w_z) in enumerate(calls)]
+        assert [tol == _TOL_FLOOR for _, tol, _ in calls] == polish
+        assert all(tol == 1e-8 for (_, tol, _), pol in zip(calls, polish) if not pol)
+        assert polish[-1] and res.converged and len(calls) == res.outer_iters
 
 
 def test_power_method_runs_once_per_operator(count_calls):
