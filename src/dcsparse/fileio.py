@@ -3,9 +3,13 @@
 All floats are written with repr (shortest round-trip form) so that
 re-reading a file reproduces the exact binary values and reruns diff
 cleanly.
+
+Every file with a header row goes through one writer, `write_table`.
+`save_matrix` keeps its own join: its ~65k cells are all floats.
 """
 
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -21,26 +25,34 @@ def _fmt(v) -> str:
 
 def _csv_cell(v) -> str:
     """None as empty, a bool as true/false, a float by repr, anything else by str."""
-    if v is None:
-        return ""
+    if isinstance(v, (float, np.floating)):  # first: nearly every cell is one
+        return _fmt(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    return _fmt(v) if isinstance(v, (float, np.floating)) else str(v)
+    return "" if v is None else str(v)
+
+
+def write_table(path, columns, rows, fmt: str = "csv") -> None:
+    """A header line of `columns`, then one line of cells per row.
+
+    fmt="json" also writes the rows as objects to the .json beside path.
+    """
+    rows = list(rows)
+    lines = [",".join(columns)] + [",".join(map(_csv_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+    if fmt == "json":
+        payload = [dict(zip(columns, row)) for row in rows]
+        Path(path).with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def save_vector_csv(path, name: str, values: np.ndarray) -> None:
     """One value per line; complex vectors as two columns re,im; header names the field."""
     values = np.asarray(values)
-    lines = []
     if np.iscomplexobj(values):
-        lines.append(f"{name}_re,{name}_im")
-        for v in values:
-            lines.append(f"{_fmt(v.real)},{_fmt(v.imag)}")
-    else:
-        lines.append(name)
-        for v in values:
-            lines.append(_fmt(v))
-    Path(path).write_text("\n".join(lines) + "\n")
+        write_table(path, (f"{name}_re", f"{name}_im"),
+                    zip(values.real.tolist(), values.imag.tolist()))
+    else:  # as float, so that integer input still writes 1.0
+        write_table(path, (name,), zip(values.astype(float).tolist()))
 
 
 def load_vector_csv(path):
@@ -86,9 +98,16 @@ def save_matrix(path, matrix: MeasurementMatrix) -> None:
 
 
 def load_matrix(path) -> MeasurementMatrix:
+    """Raises ValueError, naming the line, for a cell that is not a number or a ragged row."""
     path = Path(path)
-    rows = [[float(v) for v in line.split(",")]
-            for line in path.read_text().strip().split("\n")]
+    rows = []
+    for lineno, line in enumerate(path.read_text().strip().split("\n"), start=1):
+        try:
+            rows.append([float(v) for v in line.split(",")])
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{len(rows[-1])} columns, line 1 has {len(rows[0])}")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     phi = np.array(rows)
     sidecar_path = path.with_suffix(".json")
     seed = None
@@ -97,19 +116,13 @@ def load_matrix(path) -> MeasurementMatrix:
     return MeasurementMatrix(phi, seed=seed)
 
 
-TRACE_HEADER = "outer_iter,inner_iter_cumulative,F,l1_objective,normalized_sq_error"
+TRACE_COLUMNS = ("outer_iter", "inner_iter_cumulative", "F", "l1_objective", "normalized_sq_error")
 
 
 def save_trace_csv(path, trace: SolverTrace) -> None:
-    lines = [TRACE_HEADER]
-    cumulative = 0
-    for i in range(len(trace.outer_objectives)):
-        cumulative += trace.inner_counts[i]
-        lines.append(
-            f"{trace.outer_steps[i]},{cumulative},{_fmt(trace.outer_objectives[i])},"
-            f"{_fmt(trace.l1_objectives[i])},{_csv_cell(trace.errors[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, TRACE_COLUMNS, zip(trace.outer_steps, accumulate(trace.inner_counts),
+                                         trace.outer_objectives, trace.l1_objectives,
+                                         trace.errors))
 
 
 # Records file column -> ResultRecord attribute, in column order.
@@ -117,33 +130,13 @@ _RECORD_COLUMNS = (("solver", "solver_name"), ("sample", "sample_index"), ("seed
                    ("snr_db", "snr_db"), ("nse", "nse"), ("outer_iters", "outer_iters"),
                    ("inner_iters", "inner_iters_total"), ("converged", "converged"),
                    ("wall_s", "wall_time_seconds"))
-RECORDS_HEADER = ",".join(column for column, _ in _RECORD_COLUMNS)
-
-
-def save_records_csv(path, records) -> None:
-    rows = [",".join(_csv_cell(getattr(r, attr)) for _, attr in _RECORD_COLUMNS) for r in records]
-    Path(path).write_text("\n".join([RECORDS_HEADER] + rows) + "\n")
-
-
-def save_records_json(path, records) -> None:
-    payload = [{column: getattr(r, attr) for column, attr in _RECORD_COLUMNS}
-               for r in records]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 # Summary file columns, in the order of a (solver, snr_db, nmse) summary row.
-SUMMARY_HEADER = "solver,snr_db,nmse"
-_SUMMARY_COLUMNS = tuple(SUMMARY_HEADER.split(","))
+SUMMARY_COLUMNS = ("solver", "snr_db", "nmse")
 
 
-def save_summary_csv(path, rows) -> None:
-    lines = [",".join(_csv_cell(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join([SUMMARY_HEADER] + lines) + "\n")
-
-
-def save_summary_json(path, rows) -> None:
-    payload = [dict(zip(_SUMMARY_COLUMNS, row)) for row in rows]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+def save_records(path, records, fmt: str = "csv") -> None:
+    write_table(path, [column for column, _ in _RECORD_COLUMNS],
+                ([getattr(r, attr) for _, attr in _RECORD_COLUMNS] for r in records), fmt)
 
 
 def save_result(out_dir, stem: str, x_hat: np.ndarray, metrics: dict) -> None:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import sample_sparse_channel
-from .fileio import (save_records_csv, save_records_json, save_summary_csv,
-                     save_summary_json, save_trace_csv, save_vector_csv)
+from .fileio import SUMMARY_COLUMNS, save_records, save_trace_csv, save_vector_csv, write_table
 from .metrics import normalized_sq_error
 from .seeding import derive_seed
 from .sensing import add_noise, gaussian_matrix, measure, snr_to_sigma
@@ -121,6 +120,9 @@ class ExperimentConfig:
                 raise ConfigError(f"duplicate solver {name!r} in solvers")
         if not self.solvers:
             raise ConfigError("solvers must name at least one solver")
+        if "omp" in self.solvers and self.k_real > self.m_measurements:
+            raise ConfigError(f"k={self.k_real} exceeds m={self.m_measurements}: omp selects "
+                              "at most m columns")
 
 
 @dataclass
@@ -282,9 +284,7 @@ def run_noiseless_study(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
                 save_trace_csv(out_dir / f"trace_{name}_s{i}.csv", result.trace)
     records = _sort_records(records)
     if out_dir is not None:
-        save_records_csv(out_dir / "records.csv", records)
-        if fmt == "json":
-            save_records_json(out_dir / "records.json", records)
+        save_records(out_dir / "records.csv", records, fmt)
     return records, traces
 
 
@@ -314,9 +314,6 @@ def run_snr_sweep(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_records_csv(out_dir / "records.csv", records)
-        save_summary_csv(out_dir / "summary.csv", summary)
-        if fmt == "json":
-            save_records_json(out_dir / "records.json", records)
-            save_summary_json(out_dir / "summary.json", summary)
+        save_records(out_dir / "records.csv", records, fmt)
+        write_table(out_dir / "summary.csv", SUMMARY_COLUMNS, summary, fmt)
     return records, summary

@@ -590,6 +590,15 @@ def ista(p: SparseProblem, *, opts: SolverOptions | None = None,
     return _l1_baseline(p, ground_truth, inner_trace, solve)
 
 
+def _require_finite(y: np.ndarray, phi: MeasurementMatrix) -> None:
+    """Raises NumericalFailure unless y and phi are finite.
+
+    Least squares on a NaN or inf returns NaNs or fails inside LAPACK.
+    """
+    if not (np.isfinite(y).all() and np.isfinite(phi.phi).all()):
+        raise NumericalFailure("non-finite value in y or phi", iteration=0)
+
+
 def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
     """Orthogonal matching pursuit: greedy support growth with least-squares refits.
 
@@ -604,6 +613,7 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
         raise ValueError(f"y has length {y.size} but matrix has {phi.m} rows")
     if not 1 <= k <= min(phi.m, phi.n):
         raise ValueError(f"k must lie in [1, {min(phi.m, phi.n)}], got {k}")
+    _require_finite(y, phi)
     pm = phi.phi
     norms = np.linalg.norm(pm, axis=0)
     safe_norms = np.where(norms > 0, norms, np.inf)
@@ -647,6 +657,7 @@ def brute_force_l0(y: np.ndarray, phi: MeasurementMatrix, k: int) -> np.ndarray:
         raise InstanceTooLarge(
             f"C({phi.n}, {k}) = {math.comb(phi.n, k)} supports exceeds the 1e6 guard"
         )
+    _require_finite(y, phi)
     pm = phi.phi
     best_val = math.inf
     best_support: tuple[int, ...] = ()

@@ -95,11 +95,41 @@ def test_solve_numerical_failure_exit_2(instance_dir, capsys):
     y = y.real.copy()
     y[0] = np.nan
     save_vector_csv(instance_dir / "y_nan.csv", "y", y)
-    code = cli_main(["solve", "--phi", str(instance_dir / "phi.csv"),
-                     "--y", str(instance_dir / "y_nan.csv"), "--k", "4",
-                     "--rho", "0.5"])
-    assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    files = ["--phi", str(instance_dir / "phi.csv"), "--y", str(instance_dir / "y_nan.csv"),
+             "--k", "4"]
+    for command in [["solve", "--solver", name, "--rho", "0.5"]
+                    for name in dcsparse.harness.SOLVER_REGISTRY] + [["oracle"]]:
+        assert cli_main(command + files) == 2, command
+        assert "numerical failure" in capsys.readouterr().err
+
+
+def test_nan_in_phi_exits_2_without_a_lapack_message(instance_dir, capfd):
+    # LAPACK writes its complaint straight to file descriptor 2, hence capfd.
+    lines = (instance_dir / "phi.csv").read_text().split("\n")
+    lines[0] = "nan," + lines[0].split(",", 1)[1]
+    (instance_dir / "phi_nan.csv").write_text("\n".join(lines))
+    files = ["--phi", str(instance_dir / "phi_nan.csv"), "--y", str(instance_dir / "y.csv"),
+             "--k", "4"]
+    for command in [["solve", "--solver", name]
+                    for name in dcsparse.harness.SOLVER_REGISTRY] + [["oracle"]]:
+        assert cli_main(command + files) == 2, command
+        err = capfd.readouterr().err
+        assert "numerical failure" in err and "On entry to" not in err, err
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    (lambda row: row + ",1.0", "33 columns, line 1 has 32"),
+    (lambda row: "", "could not convert string to float"),
+], ids=["ragged_row", "blank_row"])
+def test_solve_names_the_bad_matrix_line(instance_dir, capsys, bad_row, message):
+    lines = (instance_dir / "phi.csv").read_text().split("\n")
+    lines[1] = bad_row(lines[1])
+    (instance_dir / "bad").mkdir()
+    (instance_dir / "bad" / "phi.csv").write_text("\n".join(lines))
+    code = cli_main(["solve", "--phi", str(instance_dir / "bad" / "phi.csv"),
+                     "--y", str(instance_dir / "y.csv"), "--k", "4"])
+    assert code == 1
+    assert f"phi.csv line 2: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solver", ["dc_gpsr", "omp"])
@@ -226,6 +256,15 @@ def test_bench_non_finite_snr_point_exits_1(tmp_path, capsys):
     code = cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "snr_grid points must be finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_k_above_m_with_omp_exits_1_before_any_cell(tmp_path, capsys):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("n_antennas=16\nsparsity=8\nm=12\nsamples=1\nsolvers=dc_gpsr,omp\n")
+    code = cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "k=16 exceeds m=12: omp" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

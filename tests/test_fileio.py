@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from dcsparse.channel import sample_sparse_channel
-from dcsparse.fileio import (RECORDS_HEADER, SUMMARY_HEADER, TRACE_HEADER,
-                             load_matrix, load_vector_csv, save_channel,
-                             save_matrix, save_records_csv,
-                             save_records_json, save_result,
-                             save_summary_csv, save_trace_csv, save_vector_csv)
+from dcsparse.fileio import (SUMMARY_COLUMNS, load_matrix, load_vector_csv, save_channel,
+                             save_matrix, save_records, save_result, save_trace_csv,
+                             save_vector_csv, write_table)
 from dcsparse.harness import ResultRecord
 from dcsparse.seeding import make_rng
 from dcsparse.sensing import gaussian_matrix
@@ -34,6 +32,12 @@ def test_complex_vector_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back, v)
     header = path.read_text().split("\n")[0]
     assert header == "h_re,h_im"
+
+
+def test_integer_vector_writes_floats(tmp_path):
+    path = tmp_path / "v.csv"
+    save_vector_csv(path, "v", np.array([1, -2]))
+    assert path.read_text() == "v\n1.0\n-2.0\n"
 
 
 def test_channel_round_trip(tmp_path):
@@ -68,7 +72,7 @@ def test_trace_csv_layout(tmp_path):
     path = tmp_path / "trace.csv"
     save_trace_csv(path, trace)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == TRACE_HEADER
+    assert lines[0] == "outer_iter,inner_iter_cumulative,F,l1_objective,normalized_sq_error"
     assert lines[1] == "0,0,3.0,3.5,"
     assert lines[2] == "1,7,1.0,1.2,0.25"
 
@@ -81,13 +85,12 @@ def test_records_csv_layout(tmp_path):
                          nse=0.25, outer_iters=1, inner_iters_total=4000, converged=False,
                          wall_time_seconds=0.5)]
     path = tmp_path / "records.csv"
-    save_records_csv(path, recs)
+    save_records(path, recs, "json")
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == RECORDS_HEADER
+    assert lines[0] == "solver,sample,seed,snr_db,nse,outer_iters,inner_iters,converged,wall_s"
     assert lines[0].split(",")[-2:] == ["converged", "wall_s"]
     assert lines[1] == "dc_gpsr,0,42,,0.5,3,10,true,0.125"
     assert lines[2] == "ista,1,7,25.0,0.25,1,4000,false,0.5"
-    save_records_json(tmp_path / "records.json", recs)
     payload = json.loads((tmp_path / "records.json").read_text())
     assert [r["converged"] for r in payload] == [True, False]
     assert list(payload[0])[-2:] == ["converged", "wall_s"]
@@ -107,9 +110,9 @@ def test_vector_csv_rejects_ragged_or_wide_rows(tmp_path, text, bad_line):
 
 def test_summary_csv_layout(tmp_path):
     path = tmp_path / "summary.csv"
-    save_summary_csv(path, [("dc_gpsr", 25.0, 1e-5)])
+    write_table(path, SUMMARY_COLUMNS, [("dc_gpsr", 25.0, 1e-5)])
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == SUMMARY_HEADER
+    assert lines[0] == "solver,snr_db,nmse"
     assert lines[1] == "dc_gpsr,25.0,1e-05"
 
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,13 @@ def test_config_validation_field_names():
             parse_config(f"rho={rho}\n")
 
 
+def test_config_rejects_k_above_m_with_omp():
+    # omp adds one column per round, so it cannot take more than m rounds.
+    with pytest.raises(ConfigError, match="k=16 exceeds m=12: omp"):
+        parse_config("n_antennas=16\nsparsity=8\nm=12\nsolvers=dc_gpsr,omp\n")
+    assert parse_config("n_antennas=16\nsparsity=8\nm=12\nsolvers=dc_gpsr\n").k_real == 16
+
+
 def test_k_real_defaults_to_twice_sparsity():
     cfg = ExperimentConfig(n_antennas=16, sparsity=3, m_measurements=12)
     assert cfg.k_real == 6
@@ -163,6 +171,16 @@ def test_snr_sweep_cardinality():
         assert len(nses) == 2
         assert value == sum(nses) / 2
         assert np.isfinite(value)
+
+
+def test_snr_sweep_json_tables_hold_the_returned_rows(tmp_path):
+    cfg = tiny_config(snr_grid_db=(5.0, 25.0), num_samples=1)
+    records, summary = run_snr_sweep(cfg, out_dir=tmp_path, fmt="json")
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert [list(row) for row in payload] == [["solver", "snr_db", "nmse"]] * len(summary)
+    assert payload == [{"solver": s, "snr_db": d, "nmse": v} for s, d, v in summary]
+    payload = json.loads((tmp_path / "records.json").read_text())
+    assert [(r["solver"], r["nse"]) for r in payload] == [(r.solver_name, r.nse) for r in records]
 
 
 def test_traced_benchmark_spans_are_called(count_calls):
