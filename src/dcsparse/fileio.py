@@ -5,10 +5,18 @@ re-reading a file reproduces the exact binary values and reruns diff
 cleanly.
 
 Every file with a header row goes through one writer, `write_table`.
-`save_matrix` keeps its own join: its ~65k cells are all floats.
+`save_matrix` keeps its own join: its ~65k cells are all floats, so it
+reprs each row's `tolist()` with no per-cell type test, which is the cost
+of repr itself (per-cell `_fmt` calls took about a sixth longer).
+
+Both readers go through `_parse_rows`: one `np.fromstring` call for the
+whole file where every character is one a plain decimal CSV uses, and
+float() per cell otherwise, or where that call fails, so they accept,
+reject and report exactly what float() does.
 """
 
 import json
+import warnings
 from itertools import accumulate
 from pathlib import Path
 
@@ -45,6 +53,47 @@ def write_table(path, columns, rows, fmt: str = "csv") -> None:
         Path(path).with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
+# The characters of a CSV of plainly written decimals, and the only ones
+# _parse_rows hands to np.fromstring.  fromstring reads a blank cell
+# (" ") as -1.0, accepts "nan(1)" and drops the sign of "-nan", where
+# float() rejects, rejects and keeps it.
+_DECIMAL_CSV = b"0123456789.eE+-,"
+
+
+def _parse_rows(path, lines, first_lineno: int) -> np.ndarray:
+    """The comma-separated cells of `lines` as a 2-D float array, each read as float() reads it.
+
+    Raises ValueError, naming path and the line (`lines[0]` is line
+    `first_lineno`), at the first cell float() rejects or the first row
+    whose column count differs from the first row's.  No lines give an
+    empty 1-D array.
+    """
+    widths = [line.count(",") + 1 for line in lines]
+    text = ",".join(lines)
+    if lines and widths.count(widths[0]) == len(widths) \
+            and not text.encode().translate(None, _DECIMAL_CSV):
+        # Older numpy (1.x) stops at a malformed cell with a DeprecationWarning,
+        # not a ValueError, and returns the cells before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                values = np.fromstring(text, sep=",")
+            except (ValueError, DeprecationWarning):
+                values = None
+        if values is not None and values.size == sum(widths):
+            return values.reshape(len(lines), widths[0])
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        try:
+            rows.append([float(v) for v in line.split(",")])
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{len(rows[-1])} columns, line {first_lineno} has "
+                                 f"{len(rows[0])}")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+    return np.array(rows)
+
+
 def save_vector_csv(path, name: str, values: np.ndarray) -> None:
     """One value per line; complex vectors as two columns re,im; header names the field."""
     values = np.asarray(values)
@@ -59,21 +108,20 @@ def load_vector_csv(path):
     """Returns (field_name, vector); two data columns are read back as complex.
 
     Raises ValueError, naming the line, unless every data row has one
-    column or every row has two.
+    column or every row has two, and for a cell that is not a number.
     """
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0]
-    rows = [line.split(",") for line in lines[1:]]
-    width = len(rows[0]) if rows else 1
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != width or width > 2:
-            raise ValueError(f"{path} line {lineno}: {len(row)} columns; a vector CSV "
+    header, *lines = Path(path).read_text().strip().split("\n")
+    widths = [line.count(",") + 1 for line in lines]
+    width = widths[0] if widths else 1
+    for lineno, columns in enumerate(widths, start=2):
+        if columns != width or width > 2:
+            raise ValueError(f"{path} line {lineno}: {columns} columns; a vector CSV "
                              "has one column (real) or two (re,im) in every row")
+    values = _parse_rows(path, lines, 2)
     if width == 2:
         name = header.split(",")[0].removesuffix("_re")
-        return name, np.array([float(a) + 1j * float(b) for a, b in rows])
-    name = header
-    return name, np.array([float(r[0]) for r in rows])
+        return name, np.array([a + 1j * b for a, b in values.tolist()])
+    return header, values.ravel()
 
 
 def save_channel(sample: ChannelSample, out_dir) -> None:
@@ -91,7 +139,7 @@ def save_channel(sample: ChannelSample, out_dir) -> None:
 def save_matrix(path, matrix: MeasurementMatrix) -> None:
     """Row-major CSV, one row per line, no header; JSON sidecar with m, n, seed."""
     path = Path(path)
-    lines = [",".join(_fmt(v) for v in row) for row in matrix.phi]
+    lines = [",".join(map(repr, row.tolist())) for row in matrix.phi]
     path.write_text("\n".join(lines) + "\n")
     sidecar = {"m": matrix.m, "n": matrix.n, "seed": matrix.seed}
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -100,15 +148,7 @@ def save_matrix(path, matrix: MeasurementMatrix) -> None:
 def load_matrix(path) -> MeasurementMatrix:
     """Raises ValueError, naming the line, for a cell that is not a number or a ragged row."""
     path = Path(path)
-    rows = []
-    for lineno, line in enumerate(path.read_text().strip().split("\n"), start=1):
-        try:
-            rows.append([float(v) for v in line.split(",")])
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{len(rows[-1])} columns, line 1 has {len(rows[0])}")
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from None
-    phi = np.array(rows)
+    phi = _parse_rows(path, path.read_text().strip().split("\n"), 1)
     sidecar_path = path.with_suffix(".json")
     seed = None
     if sidecar_path.exists():

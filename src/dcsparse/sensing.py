@@ -14,6 +14,20 @@ from .seeding import make_rng
 _ALIGN = 64
 
 
+def aligned_empty(shape, dtype=float) -> np.ndarray:
+    """An uninitialized C-ordered array whose data starts on an _ALIGN-byte boundary.
+
+    The solvers' work vectors come from here as well as phi: where plain
+    np.empty puts them follows the heap, and their offset moved solve
+    times by about 10% with no change to the results.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    buf = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % _ALIGN
+    return buf[start:start + nbytes].view(dtype).reshape(shape)
+
+
 def _cache_aligned(a: np.ndarray) -> np.ndarray:
     """a itself when it is not C-contiguous or already aligned, else an aligned copy.
 
@@ -22,9 +36,7 @@ def _cache_aligned(a: np.ndarray) -> np.ndarray:
     """
     if not a.flags.c_contiguous or a.ctypes.data % _ALIGN == 0:
         return a
-    buf = np.empty(a.nbytes + _ALIGN, dtype=np.uint8)
-    start = -buf.ctypes.data % _ALIGN
-    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out = aligned_empty(a.shape, a.dtype)
     out[...] = a
     return out
 

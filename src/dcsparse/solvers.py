@@ -32,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from .metrics import normalized_sq_error
-from .sensing import MeasurementMatrix
+from .sensing import MeasurementMatrix, aligned_empty
 from .sparsity import sparsity_gap, split_pos_neg, top_k1_subgradient
 
 # rho continuation of dc_gpsr (Hale, Yin & Zhang, SIAM J. Optim. 2008):
@@ -285,12 +285,12 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     phi = p.phi.phi
     n = p.phi.n
     w_z = np.asarray(w_z, dtype=float)
-    z = np.asarray(z0, dtype=float).copy()
-    if z.shape != (2 * n,) or w_z.shape != (2 * n,):
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (2 * n,) or w_z.shape != (2 * n,):
         raise ValueError(
-            f"z0 and w_z must have length {2 * n}, got {z.size} and {w_z.size}"
+            f"z0 and w_z must have length {2 * n}, got {z0.size} and {w_z.size}"
         )
-    if np.any(z < 0):
+    if np.any(z0 < 0):
         raise ValueError("z0 must be elementwise nonnegative")
 
     c = _bcqp_linear_term(p, w_z)
@@ -298,13 +298,13 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     lam = _lam_max(p.phi)
     alpha = min(max(1.0 / lam if lam > 0 else 1.0, _ALPHA_MIN), _ALPHA_MAX)
 
-    # Work buffers, and the step sizes as 0-d arrays refilled in place: a
-    # ufunc takes an array operand faster than a Python float, and the
-    # array of zeros faster than the scalar 0.0.
-    grad = np.empty(2 * n)
-    zh = np.empty(2 * n)
-    d = np.empty(2 * n)
-    dx = np.empty(n)
+    # Work buffers on 64-byte boundaries (aligned_empty), and the step
+    # sizes as 0-d arrays refilled in place: a ufunc takes an array operand
+    # faster than a Python float, and the array of zeros faster than the
+    # scalar 0.0.  Each fresh phi x is copied into fx.
+    z, zh, d, grad = (aligned_empty(2 * n) for _ in range(4))
+    dx, fx = aligned_empty(n), aligned_empty(p.phi.m)
+    z[...] = z0
     zeros = np.zeros(2 * n)
     alpha_, beta_ = np.empty(()), np.empty(())
     grad_u, grad_v = grad[:n], grad[n:]
@@ -316,7 +316,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
         np.add(g, c_u, out=grad_u)
         np.subtract(c_v, g, out=grad_v)
 
-    fx = phi @ _unsplit(z)
+    fx[...] = phi @ _unsplit(z)
     set_grad(fx)
     gval = 0.5 * float(fx.dot(fx)) + float(c.dot(z))
     if not math.isfinite(gval):
@@ -358,7 +358,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
             np.multiply(fd, beta_, out=fd)
         z, zh = zh, z
         if k % 64 == 0:
-            fx = phi @ _unsplit(z)  # refresh incremental product against drift
+            fx[...] = phi @ _unsplit(z)  # refresh incremental product against drift
         else:
             np.add(fx, fd, out=fx)
         set_grad(fx)
@@ -429,9 +429,7 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
     """
     phi = p.phi.phi
     n = p.phi.n
-    a = np.empty(n)
-    mag = np.empty(n)
-    r = np.empty(p.phi.m)
+    a, mag, r = aligned_empty(n), aligned_empty(n), aligned_empty(p.phi.m)
     zeros = np.zeros(n)
     # L and rho / L as 0-d arrays, which ufuncs take faster than floats.
     L_, lam = np.array(L), np.array(p.rho / L)

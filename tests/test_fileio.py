@@ -9,7 +9,7 @@ from dcsparse.fileio import (SUMMARY_COLUMNS, load_matrix, load_vector_csv, save
                              save_vector_csv, write_table)
 from dcsparse.harness import ResultRecord
 from dcsparse.seeding import make_rng
-from dcsparse.sensing import gaussian_matrix
+from dcsparse.sensing import MeasurementMatrix, gaussian_matrix
 from dcsparse.solvers import SolverTrace
 
 
@@ -124,3 +124,67 @@ def test_save_result_files(tmp_path):
     assert np.array_equal(x, x_hat)
     text = (tmp_path / "run.json").read_text()
     assert list(json.loads(text).items()) == list(metrics.items())
+
+
+@pytest.mark.parametrize("rows", [
+    [[-0.0, 5e-324, 1e16, 1e-5, 0.1], [-1.5e300, 2.0, -3.25, 1e-300, 123456789.0]],
+    [[-0.0, np.nan, np.inf, -np.inf], [5e-324, 1e16, 1e-5, 0.1]],
+], ids=["finite", "non_finite"])
+def test_save_matrix_writes_each_value_by_repr_and_reads_back_bit_exact(tmp_path, rows):
+    phi = np.array(rows)
+    path = tmp_path / "phi.csv"
+    save_matrix(path, MeasurementMatrix(phi, seed=3))
+    assert path.read_text() == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in phi)
+    back = load_matrix(path).phi
+    assert back.shape == phi.shape and back.tobytes() == phi.tobytes()
+
+
+# What float() makes of each cell, the value or its message after "line N: ".
+# The blank cell, nan(1) and -nan are cases where np.fromstring alone
+# differs: it reads " " as -1.0, accepts nan(1) and drops the sign of -nan.
+_MATRIX_PARITY = [
+    ("underscore", "1_0,2.0\n3.0,4.0\n", [[10.0, 2.0], [3.0, 4.0]]),
+    ("hex", "1.0,2.0\n0x10,4.0\n", "line 2: could not convert string to float: '0x10'"),
+    ("fortran_exponent", "1.0,2.0\n1d5,4.0\n", "line 2: could not convert string to float: '1d5'"),
+    ("empty_cell", "1.0,,2.0\n3.0,4.0,5.0\n", "line 1: could not convert string to float: ''"),
+    ("trailing_comma", "1.0,2.0,\n3.0,4.0,\n", "line 1: could not convert string to float: ''"),
+    ("space_inside", "1 2,3.0\n", "line 1: could not convert string to float: '1 2'"),
+    ("crlf", "1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("blank_line", "1.0,2.0\n\n3.0,4.0\n", "line 2: could not convert string to float: ''"),
+    ("blank_cell", "1.0, \n3.0,4.0\n", "line 1: could not convert string to float: ' '"),
+    ("nan_payload", "1.0,nan(1)\n", "line 1: could not convert string to float: 'nan(1)'"),
+    ("negative_nan", "-nan,1.0\n", [[float("-nan"), 1.0]]),
+]
+_VECTOR_PARITY = [
+    ("underscore", "y\n1_0\n2.0\n", [10.0, 2.0]),
+    ("hex", "y\n1.0\n0x10\n", "line 3: could not convert string to float: '0x10'"),
+    ("fortran_exponent", "y\n1d5\n", "line 2: could not convert string to float: '1d5'"),
+    ("empty_cell", "y_re,y_im\n1.0,\n2.0,3.0\n", "line 2: could not convert string to float: ''"),
+    ("trailing_comma", "y\n1.0,\n2.0,\n", "line 2: could not convert string to float: ''"),
+    ("space_inside", "y\n1 2\n", "line 2: could not convert string to float: '1 2'"),
+    ("crlf", "y\r\n1.0\r\n2.0\r\n", [1.0, 2.0]),
+    ("blank_line", "y\n1.0\n\n2.0\n", "line 3: could not convert string to float: ''"),
+    ("blank_cell", "y\n \n1.0\n", "line 2: could not convert string to float: ' '"),
+    ("nan_payload", "y\nnan(1)\n", "line 2: could not convert string to float: 'nan(1)'"),
+    ("negative_nan", "y\n-nan\n", [float("-nan")]),
+]
+
+
+@pytest.mark.parametrize("read, text, expected", [
+    pytest.param(lambda path: load_matrix(path).phi, text, expected, id=f"matrix-{case}")
+    for case, text, expected in _MATRIX_PARITY
+] + [
+    pytest.param(lambda path: load_vector_csv(path)[1], text, expected, id=f"vector-{case}")
+    for case, text, expected in _VECTOR_PARITY
+])
+def test_readers_accept_and_reject_what_float_does(tmp_path, read, text, expected):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == f"{path} {expected}"
+    else:
+        values = read(path)
+        assert values.shape == np.shape(expected)
+        assert values.tobytes() == np.array(expected).tobytes()

@@ -870,6 +870,25 @@ def test_results_belong_to_the_caller(on_iterate):
     assert inner == 0 and not np.shares_memory(z, z0)
 
 
+
+def test_inner_loop_work_buffers_start_on_64_byte_boundaries():
+    # A product with a vector off a 64-byte boundary runs slower, so the
+    # iterates must not sit wherever the heap leaves them: vary the heap
+    # with held allocations of odd sizes between solves.
+    p, x_true = small_problem(25, m=16, n=32, k=4)
+    w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
+    pty = p.phi.phi.T @ p.y
+    L = _power_lam_max(p.phi.phi)
+    opts = SolverOptions(inner_tol=1e-300, inner_max=3)
+    offsets, held = [], []
+    for size in range(1, 17):
+        held.append(np.empty(size))
+        solve_bcqp_gp(p, w_z, np.zeros(64), opts,
+                      on_iterate=lambda k, z, g, a: offsets.append(z.ctypes.data % 64))
+        _solve_prox(p, pty, np.zeros(32), L, 1e-300, 3,
+                    on_iterate=lambda x: offsets.append(x.ctypes.data % 64))
+    assert offsets == [0] * (16 * 6)
+
 def test_traced_benchmark_spans_are_called(count_calls):
     # The dcsparse.solvers spans that bench/run.py --trace 1 requires.
     calls = count_calls(dcsparse.solvers, (
