@@ -89,18 +89,19 @@ def _load_real_vector(path) -> np.ndarray:
     return values
 
 
-def _load_problem_files(phi_path, y_path):
-    phi_path, y_path = Path(phi_path), Path(y_path)
-    for path in (phi_path, y_path):
+def _load_problem_files(args):
+    """phi, y and the --truth vector (None without it), their lengths checked before any solve."""
+    for path in (Path(args.phi), Path(args.y)):
         if not path.exists():
             raise ValueError(f"file not found: {path}")
-    phi = load_matrix(phi_path)
-    y = _load_real_vector(y_path)
+    phi = load_matrix(args.phi)
+    y = _load_real_vector(args.y)
     if y.size != phi.m:
-        raise ValueError(
-            f"y has length {y.size} but phi has {phi.m} rows ({phi.m}x{phi.n} matrix)"
-        )
-    return phi, y
+        raise ValueError(f"y has length {y.size} but phi has {phi.m} rows ({phi.m}x{phi.n} matrix)")
+    truth = _load_real_vector(args.truth) if args.truth else None
+    if truth is not None and truth.size != phi.n:
+        raise ValueError(f"{args.truth} has length {truth.size} but phi has {phi.n} columns")
+    return phi, y, truth
 
 
 def _print_metrics(metrics: dict, fmt: str) -> None:
@@ -126,12 +127,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    phi, y = _load_problem_files(args.phi, args.y)
+    phi, y, truth = _load_problem_files(args)
     rho = default_rho(phi, y) if args.rho == "auto" else float(args.rho)
     if args.rho != "auto" and not math.isfinite(rho):
         raise ValueError(f"--rho must be finite, got {args.rho}")
     problem = SparseProblem(y=y, phi=phi, k=args.k, rho=rho)
-    truth = _load_real_vector(args.truth) if args.truth else None
     # Per-inner-iteration trace points only when --out writes the trace.
     result = SOLVER_REGISTRY[args.solver](problem, SolverOptions(), truth,
                                           inner_trace=bool(args.out))
@@ -169,8 +169,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    phi, y = _load_problem_files(args.phi, args.y)
-    truth = _load_real_vector(args.truth) if args.truth else None
+    phi, y, truth = _load_problem_files(args)
     x = brute_force_l0(y, phi, args.k)
     residual = y - phi.phi @ x
     metrics = {

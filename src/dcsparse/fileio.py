@@ -146,13 +146,23 @@ def save_matrix(path, matrix: MeasurementMatrix) -> None:
 
 
 def load_matrix(path) -> MeasurementMatrix:
-    """Raises ValueError, naming the line, for a cell that is not a number or a ragged row."""
+    """Raises ValueError, naming the line, for a cell that is not a number or a ragged row.
+
+    Also naming the JSON sidecar, unless it parses as an object with an integer or null seed.
+    """
     path = Path(path)
     phi = _parse_rows(path, path.read_text().strip().split("\n"), 1)
     sidecar_path = path.with_suffix(".json")
     seed = None
     if sidecar_path.exists():
-        seed = json.loads(sidecar_path.read_text()).get("seed")
+        try:
+            meta = json.loads(sidecar_path.read_text())
+            if not (isinstance(meta, dict) and type(meta.get("seed", 0)) in (int, type(None))):
+                raise ValueError("expected a JSON object whose seed is an integer or null, "
+                                 f"got {meta!r}")
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise ValueError(f"{sidecar_path}: {exc}") from None
+        seed = meta.get("seed")
     return MeasurementMatrix(phi, seed=seed)
 
 

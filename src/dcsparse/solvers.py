@@ -20,7 +20,9 @@ The l1 baselines are gpsr_baseline, one solve_bcqp_gp pass with a zero
 subgradient at rho, and ista, proximal-gradient iterations on the
 unsplit l1 problem (_solve_prox).  One routine (_l1_baseline) traces
 every inner iterate of either, evaluated _TRACE_BATCH at a time, or with
-inner_trace=False only the start and end points.
+inner_trace=False only the start and end points.  objective_exact,
+objective_l1 and normalized_sq_error score every trace point, one x or a
+stack of them; objective_exact's penalty is exactly 0 at a k-sparse x.
 omp and a brute-force cardinality-constrained least-squares oracle round
 out the benchmark set.
 """
@@ -31,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .metrics import normalized_sq_error
+from .metrics import normalized_sq_error, sq_norms
 from .sensing import MeasurementMatrix, aligned_empty
 from .sparsity import sparsity_gap, split_pos_neg, top_k1_subgradient
 
@@ -170,35 +172,36 @@ class ReconResult:
 
 
 def objective_exact(x: np.ndarray, p: SparseProblem, *,
-                    residual: np.ndarray | None = None) -> float:
+                    residual: np.ndarray | None = None) -> float | np.ndarray:
     """Least-squares data term plus the exact sparsity penalty rho * (||x||_1 - ||x||_{k,1}).
 
-    `residual`, if given, must be y - phi @ x; it spares the product.
+    A float for one x, one value per row for a stack of them.  `residual`,
+    if given, must be y - phi @ x (row by row); it spares the product.
     """
     x = _check_signal(x, p)
     r = _residual(x, p) if residual is None else residual
-    return 0.5 * float(r @ r) + p.rho * sparsity_gap(x, p.k)
+    v = 0.5 * sq_norms(r) + p.rho * sparsity_gap(x, p.k)
+    return float(v) if x.ndim == 1 else v
 
 
 def objective_l1(x: np.ndarray, p: SparseProblem, *,
-                 residual: np.ndarray | None = None) -> float:
-    """Least-squares data term plus the l1 penalty rho * ||x||_1.
-
-    `residual`, if given, must be y - phi @ x; it spares the product.
-    """
+                 residual: np.ndarray | None = None) -> float | np.ndarray:
+    """Least-squares data term plus the l1 penalty rho * ||x||_1, as objective_exact."""
     x = _check_signal(x, p)
     r = _residual(x, p) if residual is None else residual
-    return 0.5 * float(r @ r) + p.rho * float(np.abs(x).sum())
+    v = 0.5 * sq_norms(r) + p.rho * np.abs(x).sum(axis=-1)
+    return float(v) if x.ndim == 1 else v
 
 
 def _residual(x: np.ndarray, p: SparseProblem) -> np.ndarray:
-    return p.y - p.phi.phi @ x
+    """y - phi @ x, row by row for a stack: one matrix-matrix product."""
+    return p.y - (p.phi.phi @ x.T).T
 
 
 def _check_signal(x, p: SparseProblem) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (p.phi.n,):
-        raise ValueError(f"x has length {x.size} but matrix has {p.phi.n} columns")
+    if x.ndim == 0 or x.shape[-1] != p.phi.n:
+        raise ValueError(f"x has shape {x.shape} but matrix has {p.phi.n} columns")
     return x
 
 
@@ -378,39 +381,15 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
 
 def _record(trace: SolverTrace, p: SparseProblem, x: np.ndarray, inner: int,
             outer_step: int, ground_truth) -> None:
+    """Append the trace point of x, or one per row of a stack x, each with these counts."""
     r = _residual(x, p)
-    trace.outer_objectives.append(objective_exact(x, p, residual=r))
-    trace.l1_objectives.append(objective_l1(x, p, residual=r))
-    trace.errors.append(
-        None if ground_truth is None else normalized_sq_error(ground_truth, x)
-    )
-    trace.inner_counts.append(inner)
-    trace.outer_steps.append(outer_step)
-
-
-def _record_batch(trace: SolverTrace, p: SparseProblem, x: np.ndarray,
-                  ground_truth) -> None:
-    """Append one inner trace point (inner count 1, outer step 1) per row of x.
-
-    The quantities of _record, from one matrix-matrix product, row-wise
-    sums and a row-wise sort (faster than a partition on rows full of
-    exact zeros), so they agree with _record's to round-off, not bit for bit.
-    """
-    r = p.y - x @ p.phi.phi.T
-    half_rr = 0.5 * np.einsum("ij,ij->i", r, r)
-    mag = np.abs(x)
-    l1 = mag.sum(axis=1)
-    top = np.sort(mag, axis=1)[:, -p.k:].sum(axis=1)
-    trace.outer_objectives.extend((half_rr + p.rho * (l1 - top)).tolist())
-    trace.l1_objectives.extend((half_rr + p.rho * l1).tolist())
-    if ground_truth is None:
-        trace.errors.extend([None] * len(x))
-    else:
-        truth = np.asarray(ground_truth, dtype=float)
-        d = truth - x
-        trace.errors.extend((np.einsum("ij,ij->i", d, d) / float(truth @ truth)).tolist())
-    trace.inner_counts.extend([1] * len(x))
-    trace.outer_steps.extend([1] * len(x))
+    points = 1 if x.ndim == 1 else len(x)
+    trace.outer_objectives.extend(np.atleast_1d(objective_exact(x, p, residual=r)).tolist())
+    trace.l1_objectives.extend(np.atleast_1d(objective_l1(x, p, residual=r)).tolist())
+    trace.errors.extend([None] * points if ground_truth is None else
+                        np.atleast_1d(normalized_sq_error(ground_truth, x)).tolist())
+    trace.inner_counts.extend([inner] * points)
+    trace.outer_steps.extend([outer_step] * points)
 
 
 def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
@@ -521,8 +500,8 @@ def _l1_baseline(p: SparseProblem, ground_truth, inner_trace: bool, solve) -> Re
     solve(add) runs it, calling add(x) with a copy of the iterate's x after
     every step unless add is None, and returns (x, inner iterations,
     converged).  The copies are held, and every _TRACE_BATCH of them go to
-    _record_batch together.  The newest is always held back: the end point
-    is recorded from the returned x by _record, for the full and the
+    _record together, as one stack.  The newest is always held back: the
+    end point is recorded from the returned x alone, for the full and the
     compact trace alike, and carries the inner iterations not yet traced.
     """
     trace = SolverTrace()
@@ -532,12 +511,12 @@ def _l1_baseline(p: SparseProblem, ground_truth, inner_trace: bool, solve) -> Re
     def add(x):
         held.append(x)
         if len(held) > _TRACE_BATCH:
-            _record_batch(trace, p, np.array(held[:-1]), ground_truth)
+            _record(trace, p, np.array(held[:-1]), 1, 1, ground_truth)
             del held[:-1]
 
     x, inner, converged = solve(add if inner_trace else None)
     if len(held) > 1:
-        _record_batch(trace, p, np.array(held[:-1]), ground_truth)
+        _record(trace, p, np.array(held[:-1]), 1, 1, ground_truth)
     if inner:  # after the start point, each batched point took one iteration
         _record(trace, p, x, inner - (len(trace.inner_counts) - 1), 1, ground_truth)
     return ReconResult(x_hat=x, trace=trace, converged=converged, outer_iters=1)
@@ -551,7 +530,7 @@ def gpsr_baseline(p: SparseProblem, *, opts: SolverOptions | None = None,
     Minimizes 0.5 ||y - phi x||^2 + rho ||x||_1.  With inner_trace the
     trace records every inner iteration, so objective evolutions can be
     plotted against the DC solver's; the points between the start and the
-    end are evaluated in batches (_record_batch) and agree with _record's
+    end are evaluated in stacks of _TRACE_BATCH and agree with one-point
     values to round-off.  Without it, only the start point and the end
     point, which carries the whole inner count (none after 0 iterations).
     Both give the same result and the same first and last trace points.

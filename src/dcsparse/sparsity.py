@@ -19,35 +19,33 @@ class SubgradientVector:
 
 
 def _check_k(x: np.ndarray, k: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not 1 <= k <= x.size:
-        raise ValueError(f"k must lie in [1, {x.size}], got {k}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not 1 <= k <= x.shape[-1]:
+        raise ValueError(f"k must lie in [1, {x.shape[-1]}], got {k}")
     return x
 
 
-def _top_k_indices(magnitudes: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest values; ties at the boundary go to the lowest index."""
-    return np.argsort(-magnitudes, kind="stable")[:k]
+def _sorted_magnitudes(x: np.ndarray, k: int):
+    """|x| in ascending order along the last axis, and n - k, where its k largest start."""
+    a = np.sort(np.abs(_check_k(x, k)), axis=-1)
+    return a, a.shape[-1] - k
 
 
-def _top_k_sum(magnitudes: np.ndarray, k: int) -> float:
-    """Sum of the k largest values of a 1-D array."""
-    n = magnitudes.size
-    if k == n:
-        return float(magnitudes.sum())
-    return float(np.partition(magnitudes, n - k)[n - k:].sum())
+def top_k1_norm(x: np.ndarray, k: int) -> float | np.ndarray:
+    """Sum of the k largest absolute entries of x: a float, or one per row of a stack."""
+    a, n_k = _sorted_magnitudes(x, k)
+    v = a[..., n_k:].sum(axis=-1)
+    return float(v) if v.ndim == 0 else v
 
 
-def top_k1_norm(x: np.ndarray, k: int) -> float:
-    """Sum of the k largest absolute entries of x."""
-    x = _check_k(x, k)
-    return _top_k_sum(np.abs(x), k)
+def sparsity_gap(x: np.ndarray, k: int) -> float | np.ndarray:
+    """||x||_1 minus the top-(k,1) norm, per point as top_k1_norm.
 
-
-def sparsity_gap(x: np.ndarray, k: int) -> float:
-    """||x||_1 minus the top-(k,1) norm; zero exactly when x has at most k nonzeros."""
-    a = np.abs(_check_k(x, k))
-    return float(a.sum()) - _top_k_sum(a, k)
+    Summed as the n - k smallest magnitudes, so exactly 0 when x has at most k nonzeros.
+    """
+    a, n_k = _sorted_magnitudes(x, k)
+    v = a[..., :n_k].sum(axis=-1)
+    return float(v) if v.ndim == 0 else v
 
 
 def top_k1_subgradient(x: np.ndarray, k: int) -> SubgradientVector:
@@ -58,7 +56,7 @@ def top_k1_subgradient(x: np.ndarray, k: int) -> SubgradientVector:
     +1 so that sum(|w|) == k always holds.
     """
     x = _check_k(x, k)
-    sel = _top_k_indices(np.abs(x), k)
+    sel = np.argsort(-np.abs(x), kind="stable")[:k]
     w = np.zeros(x.size)
     signs = np.sign(x[sel])
     signs[signs == 0] = 1.0

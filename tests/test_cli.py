@@ -40,7 +40,7 @@ def test_solve_happy_path(instance_dir, capsys):
 
 
 def test_solve_evaluates_full_trace_only_with_out(instance_dir, capsys, monkeypatch):
-    # solve writes the trace only under --out; without it no batch of
+    # solve writes the trace only under --out; without it no stack of
     # inner trace points is evaluated, and the printed metrics are the same.
     args = ["solve", "--phi", str(instance_dir / "phi.csv"),
             "--y", str(instance_dir / "y.csv"), "--k", "4", "--solver", "gpsr",
@@ -51,12 +51,18 @@ def test_solve_evaluates_full_trace_only_with_out(instance_dir, capsys, monkeypa
     # One data row per inner iteration plus the start; over 65, so --out evaluated a batch.
     assert len(lines) - 1 == written["inner_iters"] + 1 > 65
 
-    def refuse(*a, **k):
-        raise AssertionError("a full inner trace was evaluated")
+    record, recorded = dcsparse.solvers._record, []
 
-    monkeypatch.setattr(dcsparse.solvers, "_record_batch", refuse)
+    def one_point_only(trace, p, x, *args):
+        if x.ndim != 1:
+            raise AssertionError("a full inner trace was evaluated")
+        recorded.append(x)
+        record(trace, p, x, *args)
+
+    monkeypatch.setattr(dcsparse.solvers, "_record", one_point_only)
     assert cli_main(args) == 0
     assert json.loads(capsys.readouterr().out) == written
+    assert len(recorded) == 2  # the start and end points
 
 
 def test_solve_text_output(instance_dir, capsys):
@@ -297,3 +303,29 @@ def test_unknown_subcommand_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert cli_main(["--help"]) == 0
     assert "generate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_truth_length_is_checked_before_any_solve(instance_dir, capsys, monkeypatch, command):
+    _, x_true = load_vector_csv(instance_dir / "x_true.csv")
+    short = instance_dir / "x_short.csv"
+    save_vector_csv(short, "x_true", x_true[:6].real)
+
+    def refuse(*a, **k):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setitem(dcsparse.cli.SOLVER_REGISTRY, "dc_gpsr", refuse)
+    monkeypatch.setattr(dcsparse.cli, "brute_force_l0", refuse)
+    code = cli_main([command, "--phi", str(instance_dir / "phi.csv"),
+                     "--y", str(instance_dir / "y.csv"), "--k", "4", "--truth", str(short)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {short} has length 6 but phi has 32 columns\n"
+
+
+def test_solve_rejects_a_sidecar_that_is_not_an_object(instance_dir, capsys):
+    (instance_dir / "phi.json").write_text("[1, 2]\n")
+    code = cli_main(["solve", "--phi", str(instance_dir / "phi.csv"),
+                     "--y", str(instance_dir / "y.csv"), "--k", "4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {instance_dir / 'phi.json'}: ") and "Traceback" not in err

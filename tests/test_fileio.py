@@ -66,6 +66,31 @@ def test_matrix_round_trip_with_sidecar(tmp_path):
     assert not path.read_text().split("\n")[0][0].isalpha()  # no header line
 
 
+@pytest.mark.parametrize("sidecar, seed", [('{"seed": null}', None), ("{}", None),
+                                           ('{"m": 2, "seed": 9}', 9)])
+def test_matrix_sidecar_seed_is_an_integer_or_null(tmp_path, sidecar, seed):
+    path = tmp_path / "phi.csv"
+    save_matrix(path, gaussian_matrix(2, 3, 1))
+    (tmp_path / "phi.json").write_text(sidecar)
+    assert load_matrix(path).seed == seed
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    *((text, "expected a JSON object") for text in (
+        "[1, 2]", "3", '"seed"', '{"seed": 1.5}', '{"seed": "7"}', '{"seed": true}',
+        '{"seed": [7]}')),
+    ('{"seed": 1', "Expecting ',' delimiter"),
+])
+def test_matrix_sidecar_that_is_not_an_object_with_an_integer_seed_is_named(tmp_path, sidecar,
+                                                                            message):
+    path = tmp_path / "phi.csv"
+    save_matrix(path, gaussian_matrix(2, 3, 1))
+    (tmp_path / "phi.json").write_text(sidecar)
+    with pytest.raises(ValueError) as excinfo:
+        load_matrix(path)
+    assert str(excinfo.value).startswith(f"{tmp_path / 'phi.json'}: {message}")
+
+
 def test_trace_csv_layout(tmp_path):
     trace = SolverTrace(outer_objectives=[3.0, 1.0], l1_objectives=[3.5, 1.2],
                         errors=[None, 0.25], inner_counts=[0, 7], outer_steps=[0, 1])
@@ -170,11 +195,18 @@ _VECTOR_PARITY = [
 ]
 
 
+def _vector_named_y(path):
+    """The values of a vector CSV whose header must read back as `y`, CRLF files included."""
+    name, values = load_vector_csv(path)
+    assert name == "y"
+    return values
+
+
 @pytest.mark.parametrize("read, text, expected", [
     pytest.param(lambda path: load_matrix(path).phi, text, expected, id=f"matrix-{case}")
     for case, text, expected in _MATRIX_PARITY
 ] + [
-    pytest.param(lambda path: load_vector_csv(path)[1], text, expected, id=f"vector-{case}")
+    pytest.param(_vector_named_y, text, expected, id=f"vector-{case}")
     for case, text, expected in _VECTOR_PARITY
 ])
 def test_readers_accept_and_reject_what_float_does(tmp_path, read, text, expected):

@@ -125,17 +125,21 @@ def test_k_real_defaults_to_twice_sparsity():
 
 def test_noiseless_study_cardinality_and_traces(tmp_path, monkeypatch):
     # Written traces hold every inner iteration of gpsr and ista.  Without
-    # out_dir nothing is written, so no batch of inner points is evaluated:
+    # out_dir nothing is written, so no stack of inner points is evaluated:
     # the returned gpsr/ista traces are the written files' first and last
     # rows, and every record and other trace is the same.
     solvers = ("dc_gpsr", "gpsr", "ista", "omp")
     cfg = tiny_config(solvers=solvers)
     written, written_traces = run_noiseless_study(cfg, out_dir=tmp_path / "out")
 
-    def refuse(*a, **k):
-        raise AssertionError("a full inner trace was evaluated")
+    record = dcsparse.solvers._record
 
-    monkeypatch.setattr(dcsparse.solvers, "_record_batch", refuse)
+    def one_point_only(trace, p, x, *args):
+        if x.ndim != 1:
+            raise AssertionError("a full inner trace was evaluated")
+        record(trace, p, x, *args)
+
+    monkeypatch.setattr(dcsparse.solvers, "_record", one_point_only)
     records, traces = run_noiseless_study(cfg)
     assert len(records) == 8  # 2 samples x 4 solvers
     assert set(traces) == {(name, i) for name in solvers for i in range(2)}

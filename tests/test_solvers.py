@@ -17,7 +17,7 @@ from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TOL_FLOOR, _TRACE_BATCH,
                               _solve_prox, bcqp_gradient, brute_force_l0, dc_gpsr,
                               default_rho, gpsr_baseline, ista, objective_exact,
                               objective_l1, omp, solve_bcqp_gp, split_pos_neg)
-from dcsparse.sparsity import top_k1_norm, top_k1_subgradient
+from dcsparse.sparsity import sparsity_gap, top_k1_norm, top_k1_subgradient
 
 
 def soft_threshold(a, lam):
@@ -64,7 +64,7 @@ def test_objective_exact_penalty_free_when_sparse():
     x = np.zeros(12)
     x[[1, 4]] = rng.standard_normal(2)
     r = p.y - p.phi.phi @ x
-    assert objective_exact(x, p) == pytest.approx(0.5 * r @ r, rel=1e-12)
+    assert objective_exact(x, p) == 0.5 * float(r @ r)  # the penalty is exactly 0
 
 
 def test_objective_l1_at_zero():
@@ -93,6 +93,52 @@ def test_objective_dimension_mismatch():
         objective_exact(np.zeros(11), p)
     with pytest.raises(ValueError):
         objective_l1(np.zeros(13), p)
+
+
+def antenna_cell():
+    """A 256-antenna cell, 512 unknowns, 128 measurements and 16 paths, and its x_true."""
+    sample = sample_sparse_channel(256, 16, 31)
+    phi = gaussian_matrix(128, 512, 32)
+    y = measure(phi, sample.x_real)
+    return SparseProblem(y=y, phi=phi, k=32, rho=default_rho(phi, y)), sample.x_real
+
+
+# The trace quantities and the top-(k,1) norm, as functions of (x, problem, ground truth).
+EVALUATORS = {
+    "objective_exact": lambda x, p, truth: objective_exact(x, p),
+    "objective_l1": lambda x, p, truth: objective_l1(x, p),
+    "normalized_sq_error": lambda x, p, truth: normalized_sq_error(truth, x),
+    "top_k1_norm": lambda x, p, truth: top_k1_norm(x, p.k),
+    "sparsity_gap": lambda x, p, truth: sparsity_gap(x, p.k),
+}
+
+
+def stacked_points(p, rng):
+    """Rows to score on p: dense, k-sparse, tied magnitudes (all, and k + 1 of them), zero."""
+    n = p.phi.n
+    sparse = np.zeros((2, n))
+    for row in sparse:
+        support = rng.choice(n, p.k, replace=False)
+        row[support] = rng.standard_normal(p.k)
+    ties = np.where(np.arange(n) % 3, 0.5, -0.5)
+    boundary_ties = np.where(np.arange(n) <= p.k, -2.0, 0.0)
+    return np.vstack([rng.standard_normal((2, n)), sparse, ties, boundary_ties, np.zeros(n)])
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_each_row_of_a_stack_scores_as_that_point_alone(name):
+    evaluate = EVALUATORS[name]
+    rng = make_rng(33)
+    for p in [*engine_problems(), antenna_cell()[0]]:
+        for q in (p, replace(p, k=p.phi.n)):
+            truth = rng.standard_normal(q.phi.n)
+            points = stacked_points(q, rng)
+            values = evaluate(points, q, truth)
+            assert isinstance(values, np.ndarray) and values.shape == (len(points),)
+            for x, value in zip(points, values):
+                one = evaluate(x, q, truth)
+                assert type(one) is float
+                assert abs(value - one) <= 1e-12 * abs(one)
 
 
 # ------------------------------------------------------------ bcqp gradient
@@ -757,13 +803,9 @@ def test_batched_trace_points_match_record(solver, l1_iterates):
         opts = SolverOptions(inner_tol=1e-300, inner_max=cap)
         for truth in (x_true, None):
             assert assert_inner_points_match_record(solver, l1_iterates, p, opts, truth) == cap
-    # A 256-antenna cell: 512 unknowns, 128 measurements, 16 paths.
-    sample = sample_sparse_channel(256, 16, 31)
-    phi = gaussian_matrix(128, 512, 32)
-    y = measure(phi, sample.x_real)
-    cell = SparseProblem(y=y, phi=phi, k=32, rho=default_rho(phi, y))
+    cell, x_cell = antenna_cell()
     assert assert_inner_points_match_record(solver, l1_iterates, cell,
-                                            ground_truth=sample.x_real) > 2 * _TRACE_BATCH
+                                            ground_truth=x_cell) > 2 * _TRACE_BATCH
     # y = 0: gpsr_baseline stops at its start point, ista after one step.
     q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
     inner = assert_inner_points_match_record(solver, l1_iterates, q, ground_truth=x_true)

@@ -57,6 +57,26 @@ def test_sparsity_gap_one_excess():
     assert sparsity_gap(np.ones(4), 3) == pytest.approx(1.0)
 
 
+def test_sparsity_gap_is_exactly_zero_on_vectors_with_at_most_k_nonzeros():
+    # Taken as ||x||_1 minus the top-k sum, the gap rounded to about 1e-15
+    # on a third of these vectors; as the sum of the n - k smallest it is 0.
+    rng = make_rng(5)
+    x = np.zeros((2000, 512))
+    for row in x:
+        support = rng.choice(512, rng.integers(0, 33), replace=False)
+        row[support] = rng.standard_normal(support.size) * 10.0 ** rng.uniform(-3, 3, support.size)
+    assert not sparsity_gap(x, 32).any()
+    assert all(sparsity_gap(row, 32) == 0.0 for row in x)
+
+
+def test_top_k1_norm_and_gap_act_on_the_last_axis():
+    x = np.array([[3.0, -1.0, 2.0], [0.0, 0.0, 0.0], [1.0, -1.0, 1.0]])
+    assert top_k1_norm(x, 2).tolist() == [5.0, 0.0, 2.0]
+    assert sparsity_gap(x, 2).tolist() == [1.0, 0.0, 1.0]
+    assert sparsity_gap(x[None], 3).shape == (1, 3)
+    assert type(top_k1_norm(x[0], 2)) is float and type(sparsity_gap(x[0], 2)) is float
+
+
 def test_sparsity_gap_l0_equivalence_exhaustive():
     # Gap == 0 exactly characterizes "at most k nonzeros" on all of {-1,0,1}^6.
     for entries in product((-1.0, 0.0, 1.0), repeat=6):
