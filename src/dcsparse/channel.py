@@ -32,8 +32,13 @@ class ChannelSample:
 
     @property
     def h_spatial(self) -> np.ndarray:
-        """The spatial channel U^H h_angular; builds the n x n DFT matrix U on every access."""
-        return dft_matrix(self.h_angular.size).conj().T @ self.h_angular
+        """The spatial channel U^H h_angular; builds the n x n DFT matrix U on every access.
+
+        U is conjugated in place, so the access holds one n x n complex
+        array at its peak, not two.
+        """
+        u = dft_matrix(self.h_angular.size)
+        return np.conj(u, out=u).T @ self.h_angular
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -43,11 +48,18 @@ def dft_matrix(n: int) -> np.ndarray:
     conjugate of the half-wavelength array's response to direction
     phi_i = (i - (n+1)/2) / n, the grid of an n-element array.  Satisfies
     U @ U^H = I.
+
+    Each step writes into the one n x n complex result, with the ufuncs
+    and operand order of exp(2j*pi*outer(phis, l)) / sqrt(n), so the
+    values are bit for bit that expression's.
     """
     if n < 1:
         raise ValueError(f"antenna count must be >= 1, got {n}")
     phis = (np.arange(1, n + 1) - (n + 1) / 2) / n
-    return np.exp(2j * np.pi * np.outer(phis, np.arange(n))) / np.sqrt(n)
+    u = np.multiply.outer(phis, np.arange(n), out=np.empty((n, n), dtype=complex))
+    np.multiply(2j * np.pi, u, out=u)
+    np.exp(u, out=u)
+    return np.divide(u, np.sqrt(n), out=u)
 
 
 def concat_real(h_angular: np.ndarray) -> np.ndarray:

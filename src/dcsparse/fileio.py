@@ -9,21 +9,24 @@ Every file with a header row goes through one writer, `write_table`.
 reprs each row's `tolist()` with no per-cell type test, which is the cost
 of repr itself (per-cell `_fmt` calls took about a sixth longer).
 
-Both readers go through `_parse_rows`: one `np.fromstring` call for the
-whole file where every character is one a plain decimal CSV uses, and
-float() per cell otherwise, or where that call fails, so they accept,
-reject and report exactly what float() does.
+Both readers read a file in blocks of whole lines, about _BLOCK_CHARS of
+text each (`_line_blocks`), and hand each block to `_parse_rows`: one
+`np.fromstring` call per block where every character is one a plain
+decimal CSV uses, and float() per cell otherwise, or where that call
+fails, so they accept, reject and report exactly what float() does.  The
+parsed blocks go into one 64-byte-aligned array, so a reader holds about
+twice the values' bytes and one block of text, never the whole file.
 """
 
 import json
 import warnings
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ChannelSample
-from .sensing import MeasurementMatrix
+from .sensing import MeasurementMatrix, aligned_empty
 from .solvers import SolverTrace
 
 
@@ -59,18 +62,47 @@ def write_table(path, columns, rows, fmt: str = "csv") -> None:
 # float() rejects, rejects and keeps it.
 _DECIMAL_CSV = b"0123456789.eE+-,"
 
+# Characters of text the readers take from a file at a time.
+_BLOCK_CHARS = 1 << 16
 
-def _parse_rows(path, lines, first_lineno: int) -> np.ndarray:
+
+def _line_blocks(path):
+    """(line number of lines[0], lines) for runs of whole lines of path's text, in order.
+
+    Together the runs are the lines of the whole text with its leading and
+    trailing whitespace stripped, so there is at least one line and blank
+    lines inside the text stay, but each line keeps its number in the
+    file: leading blank lines count.  A run holds about _BLOCK_CHARS of text.
+    """
+    lineno = 1
+    with open(path) as f:
+        text = ""
+        while not text and (chunk := f.read(_BLOCK_CHARS)):
+            text = chunk.lstrip()
+            lineno += chunk.count("\n", 0, len(chunk) - len(text))
+        while chunk := f.read(_BLOCK_CHARS):
+            text += chunk
+            # Whitespace after the last other character may end the file; keep it back.
+            cut = text.rfind("\n", 0, len(text.rstrip()))
+            if cut >= 0:
+                lines = text[:cut].split("\n")
+                yield lineno, lines
+                lineno += len(lines)
+                text = text[cut + 1:]
+    yield lineno, text.rstrip().split("\n")
+
+
+def _parse_rows(path, lines, lineno: int, first: tuple) -> np.ndarray:
     """The comma-separated cells of `lines` as a 2-D float array, each read as float() reads it.
 
-    Raises ValueError, naming path and the line (`lines[0]` is line
-    `first_lineno`), at the first cell float() rejects or the first row
-    whose column count differs from the first row's.  No lines give an
-    empty 1-D array.
+    `lines[0]` is line `lineno`, and `first` is (line number, column
+    count) of the file's first data row.  Raises ValueError, naming path
+    and the line, at the first cell float() rejects or the first row
+    whose column count differs from that row's.
     """
-    widths = [line.count(",") + 1 for line in lines]
+    first_lineno, width = first
     text = ",".join(lines)
-    if lines and widths.count(widths[0]) == len(widths) \
+    if all(line.count(",") + 1 == width for line in lines) \
             and not text.encode().translate(None, _DECIMAL_CSV):
         # Older numpy (1.x) stops at a malformed cell with a DeprecationWarning,
         # not a ValueError, and returns the cells before it.
@@ -80,18 +112,31 @@ def _parse_rows(path, lines, first_lineno: int) -> np.ndarray:
                 values = np.fromstring(text, sep=",")
             except (ValueError, DeprecationWarning):
                 values = None
-        if values is not None and values.size == sum(widths):
-            return values.reshape(len(lines), widths[0])
+        if values is not None and values.size == len(lines) * width:
+            return values.reshape(len(lines), width)
     rows = []
-    for lineno, line in enumerate(lines, start=first_lineno):
+    for lineno, line in enumerate(lines, start=lineno):
         try:
             rows.append([float(v) for v in line.split(",")])
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{len(rows[-1])} columns, line {first_lineno} has "
-                                 f"{len(rows[0])}")
+            if len(rows[-1]) != width:
+                raise ValueError(f"{len(rows[-1])} columns, line {first_lineno} has {width}")
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
     return np.array(rows)
+
+
+def _read_rows(path, blocks) -> np.ndarray:
+    """The rows of (lineno, lines) `blocks` as one 2-D array on a 64-byte boundary.
+
+    Blocks with no lines are skipped; none at all give shape (0, 1).
+    """
+    first, parsed = None, []
+    for lineno, lines in blocks:
+        if lines:
+            first = first or (lineno, lines[0].count(",") + 1)
+            parsed.append(_parse_rows(path, lines, lineno, first))
+    out = aligned_empty((sum(map(len, parsed)), first[1] if first else 1))
+    return np.concatenate(parsed, out=out) if parsed else out
 
 
 def save_vector_csv(path, name: str, values: np.ndarray) -> None:
@@ -109,16 +154,29 @@ def load_vector_csv(path):
 
     Raises ValueError, naming the line, unless every data row has one
     column or every row has two, and for a cell that is not a number.
+    The first wrong column count in the file is reported before any cell.
     """
-    header, *lines = Path(path).read_text().strip().split("\n")
-    widths = [line.count(",") + 1 for line in lines]
-    width = widths[0] if widths else 1
-    for lineno, columns in enumerate(widths, start=2):
-        if columns != width or width > 2:
-            raise ValueError(f"{path} line {lineno}: {columns} columns; a vector CSV "
-                             "has one column (real) or two (re,im) in every row")
-    values = _parse_rows(path, lines, 2)
-    if width == 2:
+    blocks = _line_blocks(path)
+    lineno, lines = next(blocks)
+    header = lines[0]
+
+    def checked(blocks, width=None):
+        for lineno, lines in blocks:
+            for n, columns in enumerate((line.count(",") + 1 for line in lines), lineno):
+                width = width or columns
+                if columns != width or width > 2:
+                    raise ValueError(f"{path} line {n}: {columns} columns; a vector CSV "
+                                     "has one column (real) or two (re,im) in every row")
+            yield lineno, lines
+
+    data = checked(chain([(lineno + 1, lines[1:])], blocks))
+    try:
+        values = _read_rows(path, data)
+    except ValueError:  # a bad cell: a wrong column count later on is reported first
+        for _ in data:
+            pass
+        raise
+    if values.shape[1] == 2:
         name = header.split(",")[0].removesuffix("_re")
         return name, np.array([a + 1j * b for a, b in values.tolist()])
     return header, values.ravel()
@@ -139,8 +197,8 @@ def save_channel(sample: ChannelSample, out_dir) -> None:
 def save_matrix(path, matrix: MeasurementMatrix) -> None:
     """Row-major CSV, one row per line, no header; JSON sidecar with m, n, seed."""
     path = Path(path)
-    lines = [",".join(map(repr, row.tolist())) for row in matrix.phi]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:  # one row's text at a time
+        f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in matrix.phi)
     sidecar = {"m": matrix.m, "n": matrix.n, "seed": matrix.seed}
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
@@ -151,7 +209,7 @@ def load_matrix(path) -> MeasurementMatrix:
     Also naming the JSON sidecar, unless it parses as an object with an integer or null seed.
     """
     path = Path(path)
-    phi = _parse_rows(path, path.read_text().strip().split("\n"), 1)
+    phi = _read_rows(path, _line_blocks(path))
     sidecar_path = path.with_suffix(".json")
     seed = None
     if sidecar_path.exists():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 _criterion_lines = []
@@ -38,6 +40,24 @@ def count_calls(monkeypatch):
             monkeypatch.setattr(module, name, wrap(calls, name, getattr(module, name)))
         return calls
     return _count
+
+
+@pytest.fixture
+def traced_peak():
+    """`traced_peak(fn)` calls fn and returns the peak bytes traced above those held before.
+
+    numpy reports its array buffers to tracemalloc, so arrays count
+    along with Python objects.
+    """
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    return _peak
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -73,6 +73,21 @@ def test_sample_sparse_channel_builds_the_dft_matrix_only_for_h_spatial(count_ca
     assert np.array_equal(h, dft_matrix(64).conj().T @ s.h_angular)
 
 
+@pytest.mark.parametrize("n", [1, 31, 64])
+def test_dft_matrix_and_h_spatial_are_the_reference_expressions_bit_for_bit(n):
+    phis = (np.arange(1, n + 1) - (n + 1) / 2) / n
+    reference = np.exp(2j * np.pi * np.outer(phis, np.arange(n))) / np.sqrt(n)
+    assert dft_matrix(n).tobytes() == reference.tobytes()
+    s = sample_sparse_channel(n, min(n, 4), n)
+    assert s.h_spatial.tobytes() == (reference.conj().T @ s.h_angular).tobytes()
+
+
+def test_h_spatial_holds_one_dft_matrix_at_its_peak(traced_peak):
+    s = sample_sparse_channel(256, 16, 3)
+    u_bytes = 256 * 256 * 16
+    assert traced_peak(lambda: s.h_spatial) <= 1.75 * u_bytes
+
+
 def test_sample_sparse_channel_full_density_boundary():
     s = sample_sparse_channel(4, 4, 3)
     assert np.count_nonzero(s.h_angular) == 4

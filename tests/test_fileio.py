@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import dcsparse.fileio
 from dcsparse.channel import sample_sparse_channel
 from dcsparse.fileio import (SUMMARY_COLUMNS, load_matrix, load_vector_csv, save_channel,
                              save_matrix, save_records, save_result, save_trace_csv,
@@ -179,6 +180,8 @@ _MATRIX_PARITY = [
     ("blank_cell", "1.0, \n3.0,4.0\n", "line 1: could not convert string to float: ' '"),
     ("nan_payload", "1.0,nan(1)\n", "line 1: could not convert string to float: 'nan(1)'"),
     ("negative_nan", "-nan,1.0\n", [[float("-nan"), 1.0]]),
+    ("leading_blank_lines", "\n\n1.0,2.0\n3.0,x\n",
+     "line 4: could not convert string to float: 'x'"),
 ]
 _VECTOR_PARITY = [
     ("underscore", "y\n1_0\n2.0\n", [10.0, 2.0]),
@@ -192,6 +195,7 @@ _VECTOR_PARITY = [
     ("blank_cell", "y\n \n1.0\n", "line 2: could not convert string to float: ' '"),
     ("nan_payload", "y\nnan(1)\n", "line 2: could not convert string to float: 'nan(1)'"),
     ("negative_nan", "y\n-nan\n", [float("-nan")]),
+    ("leading_blank_lines", "\ny\n1.0\nx\n", "line 4: could not convert string to float: 'x'"),
 ]
 
 
@@ -220,3 +224,82 @@ def test_readers_accept_and_reject_what_float_does(tmp_path, read, text, expecte
         values = read(path)
         assert values.shape == np.shape(expected)
         assert values.tobytes() == np.array(expected).tobytes()
+
+
+def test_save_matrix_holds_about_one_row_of_text(tmp_path, traced_peak):
+    phi = gaussian_matrix(128, 512, 5)
+    save_matrix(tmp_path / "phi.csv", phi)  # first-call set-up outside the trace
+    assert traced_peak(lambda: save_matrix(tmp_path / "phi.csv", phi)) <= 0.25 * phi.phi.nbytes
+
+
+def test_load_matrix_holds_no_whole_text_copy(tmp_path, traced_peak):
+    phi = gaussian_matrix(128, 512, 5)
+    save_matrix(tmp_path / "phi.csv", phi)
+    load_matrix(tmp_path / "phi.csv")
+    assert traced_peak(lambda: load_matrix(tmp_path / "phi.csv")) <= 3 * phi.phi.nbytes
+
+
+def _small_blocks(monkeypatch, path):
+    """Readers take ~97 characters at a time; asserts path then spans many blocks."""
+    monkeypatch.setattr(dcsparse.fileio, "_BLOCK_CHARS", 97)
+    assert len(list(dcsparse.fileio._line_blocks(path))) >= 10
+
+
+def test_readers_give_the_one_block_values_across_many_blocks(tmp_path, monkeypatch):
+    rng = make_rng(8)
+    save_matrix(tmp_path / "phi.csv", gaussian_matrix(40, 7, 2))
+    save_vector_csv(tmp_path / "h.csv", "h", rng.standard_normal(60) + 1j * rng.standard_normal(60))
+    save_vector_csv(tmp_path / "x.csv", "x", rng.standard_normal(60))
+    whole = [load_matrix(tmp_path / "phi.csv").phi] + [
+        load_vector_csv(tmp_path / name)[1] for name in ("h.csv", "x.csv")]
+    _small_blocks(monkeypatch, tmp_path / "phi.csv")
+    _small_blocks(monkeypatch, tmp_path / "h.csv")
+    blocks = [load_matrix(tmp_path / "phi.csv").phi] + [
+        load_vector_csv(tmp_path / name)[1] for name in ("h.csv", "x.csv")]
+    for a, b in zip(whole, blocks):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _matrix_text():
+    """Two blank lines, then 40 rows of 7 cells: row i is on line i + 3."""
+    phi = gaussian_matrix(40, 7, 2).phi
+    return ["", ""] + [",".join(map(repr, row.tolist())) for row in phi]
+
+
+def _vector_text():
+    """A header, then 60 rows re,im: row i is on line i + 2."""
+    rng = make_rng(8)
+    return ["h_re,h_im"] + [f"{a!r},{b!r}" for a, b in rng.standard_normal((60, 2)).tolist()]
+
+
+def _bad_cell(lines, lineno):
+    lines[lineno - 1] = "x," + lines[lineno - 1].split(",", 1)[1]
+
+
+def _wide_row(lines, lineno):
+    lines[lineno - 1] += ",1.0"
+
+
+@pytest.mark.parametrize("make, edits, read, expected", [
+    (_matrix_text, [(_bad_cell, 33)], load_matrix,
+     "line 33: could not convert string to float: 'x'"),
+    (_matrix_text, [(_wide_row, 38)], load_matrix, "line 38: 8 columns, line 3 has 7"),
+    (_vector_text, [(_bad_cell, 41)], load_vector_csv,
+     "line 41: could not convert string to float: 'x'"),
+    (_vector_text, [(_wide_row, 50)], load_vector_csv,
+     "line 50: 3 columns; a vector CSV has one column (real) or two (re,im) in every row"),
+    (_vector_text, [(_bad_cell, 5), (_wide_row, 50)], load_vector_csv,
+     "line 50: 3 columns; a vector CSV has one column (real) or two (re,im) in every row"),
+], ids=["matrix_bad_cell", "matrix_ragged_row", "vector_bad_cell", "vector_wide_row",
+        "vector_wide_row_after_bad_cell"])
+def test_error_in_a_later_block_names_its_line(tmp_path, monkeypatch, make, edits, read,
+                                               expected):
+    lines = make()
+    for edit, lineno in edits:
+        edit(lines, lineno)
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(lines) + "\n")
+    _small_blocks(monkeypatch, path)
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path} {expected}"
