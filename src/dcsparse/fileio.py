@@ -7,7 +7,7 @@ cleanly.
 Every file with a header row goes through one writer, `write_table`.
 `save_matrix` keeps its own join: its ~65k cells are all floats, so it
 reprs each row's `tolist()` with no per-cell type test, which is the cost
-of repr itself (per-cell `_fmt` calls took about a sixth longer).
+of repr itself (a `repr(float(v))` call per cell took about a sixth longer).
 
 Both readers read a file in blocks of whole lines, about _BLOCK_CHARS of
 text each (`_line_blocks`), and hand each block to `_parse_rows`: one
@@ -16,11 +16,15 @@ decimal CSV uses, and float() per cell otherwise, or where that call
 fails, so they accept, reject and report exactly what float() does.  The
 parsed blocks go into one 64-byte-aligned array, so a reader holds about
 twice the values' bytes and one block of text, never the whole file.
+`load_vector_csv` reads its file twice: once for the column counts, so
+the first wrong count is reported before any bad cell, and once for the
+values.  A re,im file comes back as a complex view of that array, so
+every real and imaginary part, inf and -0.0 included, is the one written.
 """
 
 import json
 import warnings
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +34,10 @@ from .sensing import MeasurementMatrix, aligned_empty
 from .solvers import SolverTrace
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _csv_cell(v) -> str:
     """None as empty, a bool as true/false, a float by repr, anything else by str."""
     if isinstance(v, (float, np.floating)):  # first: nearly every cell is one
-        return _fmt(v)
+        return repr(float(v))
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     return "" if v is None else str(v)
@@ -149,6 +149,14 @@ def save_vector_csv(path, name: str, values: np.ndarray) -> None:
         write_table(path, (name,), zip(values.astype(float).tolist()))
 
 
+def _data_blocks(path):
+    """The blocks of `_line_blocks(path)` without the text's first line, a header."""
+    blocks = _line_blocks(path)
+    lineno, lines = next(blocks)
+    yield lineno + 1, lines[1:]
+    yield from blocks
+
+
 def load_vector_csv(path):
     """Returns (field_name, vector); two data columns are read back as complex.
 
@@ -156,29 +164,19 @@ def load_vector_csv(path):
     column or every row has two, and for a cell that is not a number.
     The first wrong column count in the file is reported before any cell.
     """
-    blocks = _line_blocks(path)
-    lineno, lines = next(blocks)
-    header = lines[0]
-
-    def checked(blocks, width=None):
-        for lineno, lines in blocks:
-            for n, columns in enumerate((line.count(",") + 1 for line in lines), lineno):
-                width = width or columns
-                if columns != width or width > 2:
-                    raise ValueError(f"{path} line {n}: {columns} columns; a vector CSV "
-                                     "has one column (real) or two (re,im) in every row")
-            yield lineno, lines
-
-    data = checked(chain([(lineno + 1, lines[1:])], blocks))
-    try:
-        values = _read_rows(path, data)
-    except ValueError:  # a bad cell: a wrong column count later on is reported first
-        for _ in data:
-            pass
-        raise
+    header = width = None
+    for lineno, lines in _line_blocks(path):  # pass 1: the column counts
+        if header is None:
+            header, lineno, lines = lines[0], lineno + 1, lines[1:]
+        for lineno, line in enumerate(lines, lineno):
+            columns = line.count(",") + 1
+            width = width or columns
+            if columns != width or width > 2:
+                raise ValueError(f"{path} line {lineno}: {columns} columns; a vector CSV "
+                                 "has one column (real) or two (re,im) in every row")
+    values = _read_rows(path, _data_blocks(path))  # pass 2: the cells
     if values.shape[1] == 2:
-        name = header.split(",")[0].removesuffix("_re")
-        return name, np.array([a + 1j * b for a, b in values.tolist()])
+        return header.split(",")[0].removesuffix("_re"), values.view(complex).ravel()
     return header, values.ravel()
 
 

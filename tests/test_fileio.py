@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,12 +26,15 @@ def test_real_vector_round_trip_bit_exact(tmp_path):
 
 def test_complex_vector_round_trip_bit_exact(tmp_path):
     rng = make_rng(1)
-    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     path = tmp_path / "c.csv"
-    save_vector_csv(path, "h", v)
-    name, back = load_vector_csv(path)
-    assert name == "h"
-    assert np.array_equal(back, v)
+    # The second vector's parts are ones that a per-row a + 1j * b would change.
+    for v in (rng.standard_normal(9) + 1j * rng.standard_normal(9),
+              np.array([complex(1, np.inf), complex(2, -0.0), complex(-0.0, 3.0),
+                        complex(-0.0, -0.0)])):
+        save_vector_csv(path, "h", v)
+        name, back = load_vector_csv(path)
+        assert name == "h"
+        assert back.dtype == v.dtype and back.tobytes() == v.tobytes()
     header = path.read_text().split("\n")[0]
     assert header == "h_re,h_im"
 
@@ -303,3 +307,43 @@ def test_error_in_a_later_block_names_its_line(tmp_path, monkeypatch, make, edit
     with pytest.raises(ValueError) as excinfo:
         read(path)
     assert str(excinfo.value) == f"{path} {expected}"
+
+
+def _fromstring_numpy1(text, sep):
+    """np.fromstring as numpy 1.x has it: a malformed cell warns and ends the array."""
+    cells = []
+    for cell in text.split(sep):
+        try:
+            cells.append(float(cell))
+        except ValueError:
+            warnings.warn("string or file could not be read to its end due to unmatched data",
+                          DeprecationWarning, stacklevel=2)
+            break
+    return np.array(cells)
+
+
+def _read_or_message(read, path):
+    try:
+        return read(path).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+# The data rows of each text are all decimal-CSV characters, so they reach np.fromstring.
+@pytest.mark.parametrize("read, text", [
+    (lambda path: load_matrix(path).phi, "1.0,2.0\n3.0,4.0\n"),
+    (lambda path: load_matrix(path).phi, "1.0,2.0\n3.0,1-2\n"),
+    (lambda path: load_vector_csv(path)[1], "y\n1.0\n1e\n2.0\n"),
+    (lambda path: load_vector_csv(path)[1], "y_re,y_im\n1.0,2.0\n3.0,--4\n"),
+], ids=["matrix_values", "matrix_bad_cell", "vector_bad_cell", "complex_bad_cell"])
+def test_numpy1_fromstring_warning_falls_back_to_float(tmp_path, monkeypatch, read, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    expected = _read_or_message(read, path)
+    calls = []
+    monkeypatch.setattr(np, "fromstring",
+                        lambda *args, **kw: calls.append(args) or _fromstring_numpy1(*args, **kw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _read_or_message(read, path) == expected
+    assert calls and caught == []
