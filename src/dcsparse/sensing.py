@@ -29,12 +29,14 @@ def aligned_empty(shape, dtype=float) -> np.ndarray:
 
 
 def _cache_aligned(a: np.ndarray) -> np.ndarray:
-    """a itself when it is not C-contiguous or already aligned, else an aligned copy.
+    """a itself when it is F-ordered or aligned and C-ordered, else an aligned C copy.
 
-    Other memory orders are left alone: a C-ordered copy would change the
-    order in which matrix-vector products sum, and so their round-off.
+    An F-ordered a is left alone: a C-ordered copy would change the order
+    in which matrix-vector products sum, and so their round-off.  Any other
+    layout is copied: on a strided view np.dot(out=), which the solvers'
+    inner loops use, and `@` sum differently.
     """
-    if not a.flags.c_contiguous or a.ctypes.data % _ALIGN == 0:
+    if (a.ctypes.data % _ALIGN == 0) if a.flags.c_contiguous else a.flags.f_contiguous:
         return a
     out = aligned_empty(a.shape, a.dtype)
     out[...] = a
@@ -45,9 +47,10 @@ def _cache_aligned(a: np.ndarray) -> np.ndarray:
 class MeasurementMatrix:
     """Dense real measurement operator with its draw seed.
 
-    m and n read phi's shape, which must be 2-D and nonempty.  A C-ordered
-    phi is stored starting on a 64-byte boundary (copied if needed), which
-    speeds up the solvers' matrix-vector products.
+    m and n read phi's shape, which must be 2-D and nonempty.  An
+    F-ordered phi is stored as given; any other phi is stored C-ordered,
+    starting on a 64-byte boundary (copied if needed), which speeds up the
+    solvers' matrix-vector products.
 
     The solvers keep their power-method estimate of ||phi^T phi|| as
     (phi, value) in _lam_max_cache and reuse it only while phi is that

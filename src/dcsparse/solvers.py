@@ -304,24 +304,27 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     # Work buffers on 64-byte boundaries (aligned_empty), and the step
     # sizes as 0-d arrays refilled in place: a ufunc takes an array operand
     # faster than a Python float, and the array of zeros faster than the
-    # scalar 0.0.  Each fresh phi x is copied into fx.
+    # scalar 0.0.  The loop's two products write into g and fd with
+    # np.dot(out=), which sums as `@` does for a C- or F-ordered phi
+    # (MeasurementMatrix stores no other kind).
     z, zh, d, grad = (aligned_empty(2 * n) for _ in range(4))
-    dx, fx = aligned_empty(n), aligned_empty(p.phi.m)
+    dx, g = aligned_empty(n), aligned_empty(n)
+    fx, fd = aligned_empty(p.phi.m), aligned_empty(p.phi.m)
     z[...] = z0
     zeros = np.zeros(2 * n)
     alpha_, beta_ = np.empty(()), np.empty(())
     grad_u, grad_v = grad[:n], grad[n:]
     d_u, d_v = d[:n], d[n:]
-
-    def set_grad(fx):
-        # [g; -g] + c, bit for bit: c_v - g is c_v + (-g) in IEEE arithmetic.
-        g = phi.T @ fx
-        np.add(g, c_u, out=grad_u)
-        np.subtract(c_v, g, out=grad_v)
+    phi_t, dot = phi.T, np.dot
+    c_dot, fx_dot, fd_dot, grad_dot, d_dot = c.dot, fx.dot, fd.dot, grad.dot, d.dot
 
     fx[...] = phi @ _unsplit(z)
-    set_grad(fx)
-    gval = 0.5 * float(fx.dot(fx)) + float(c.dot(z))
+    # grad = [g; -g] + c with g = phi^T fx, bit for bit: c_v - g is
+    # c_v + (-g) in IEEE arithmetic.
+    dot(phi_t, fx, out=g)
+    np.add(g, c_u, out=grad_u)
+    np.subtract(c_v, g, out=grad_v)
+    gval = 0.5 * float(fx_dot(fx)) + float(c_dot(z))
     if not math.isfinite(gval):
         raise NumericalFailure("non-finite objective at the start point", iteration=0)
     # From here on c and z are finite: a non-finite entry of either would
@@ -339,13 +342,17 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
         # the gradient is then finite, since an infinite or NaN entry of
         # phi^T fx moves zh in one of the two halves (short of g + c
         # overflowing), so gd == 0 and the descent test stops at that step.
-        gd = float(grad.dot(d))
+        gd = float(grad_dot(d))
         if gd >= 0.0:
             break  # fixed point, or descent exhausted at floating-point resolution
         np.subtract(d_u, d_v, out=dx)
-        fd = phi @ dx
-        dbd = float(fd.dot(fd))
-        beta = 1.0 if dbd <= 0.0 else min(1.0, -gd / dbd)
+        dot(phi, dx, out=fd)
+        dbd = float(fd_dot(fd))
+        # beta = min(1.0, -gd / dbd), and below alpha = min(max(., _ALPHA_MIN),
+        # _ALPHA_MAX), as comparisons that treat a NaN as min and max do.
+        beta = -gd / dbd if dbd > 0.0 else 1.0
+        if not beta < 1.0:
+            beta = 1.0
         predicted = -(beta * gd + 0.5 * beta * beta * dbd)
         if predicted <= tol * max(abs(gval), 1e-12):
             stall += 1
@@ -364,8 +371,10 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
             fx[...] = phi @ _unsplit(z)  # refresh incremental product against drift
         else:
             np.add(fx, fd, out=fx)
-        set_grad(fx)
-        gnew = 0.5 * float(fx.dot(fx)) + float(c.dot(z))
+        dot(phi_t, fx, out=g)
+        np.add(g, c_u, out=grad_u)
+        np.subtract(c_v, g, out=grad_v)
+        gnew = 0.5 * float(fx_dot(fx)) + float(c_dot(z))
         inner = k
         # c is finite, so a non-finite z also makes c @ z and gnew non-finite.
         if not math.isfinite(gnew):
@@ -373,8 +382,11 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
         if on_iterate is not None:
             on_iterate(k, z, gnew, alpha)
         # BB step from the accepted move; beta cancels in the ratio.
-        alpha = min(max(float(d.dot(d)) / dbd, _ALPHA_MIN), _ALPHA_MAX) \
-            if dbd > 0.0 else _ALPHA_MAX
+        alpha = float(d_dot(d)) / dbd if dbd > 0.0 else _ALPHA_MAX
+        if alpha < _ALPHA_MIN:
+            alpha = _ALPHA_MIN
+        elif alpha > _ALPHA_MAX:
+            alpha = _ALPHA_MAX
         gval = gnew
     return z, inner
 
@@ -408,22 +420,24 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
     """
     phi = p.phi.phi
     n = p.phi.n
-    a, mag, r = aligned_empty(n), aligned_empty(n), aligned_empty(p.phi.m)
+    y, rho = p.y, p.rho
+    a, mag, g = aligned_empty(n), aligned_empty(n), aligned_empty(n)
+    fx, r = aligned_empty(p.phi.m), aligned_empty(p.phi.m)
     zeros = np.zeros(n)
     # L and rho / L as 0-d arrays, which ufuncs take faster than floats.
-    L_, lam = np.array(L), np.array(p.rho / L)
+    L_, lam = np.array(L), np.array(rho / L)
+    # The loop's two products write into g and fx, as in solve_bcqp_gp.
+    phi_t, dot, r_dot, add_reduce = phi.T, np.dot, r.dot, np.add.reduce
 
-    def objective(fx_):  # mag must hold |x|
-        np.subtract(p.y, fx_, out=r)
-        return 0.5 * float(r.dot(r)) + p.rho * float(np.add.reduce(mag))
-
-    fx = phi @ x
+    # f = 0.5 ||y - fx||^2 + rho ||x||_1, with mag holding |x|.
+    fx[...] = phi @ x
     np.abs(x, out=mag)
-    f = objective(fx)
+    np.subtract(y, fx, out=r)
+    f = 0.5 * float(r_dot(r)) + rho * float(add_reduce(mag))
     for j in range(1, inner_max + 1):
         # x = sign(a) * max(|a| - rho / L, 0) with a = x - (phi^T fx - pty) / L,
         # in that order.
-        g = phi.T @ fx
+        dot(phi_t, fx, out=g)
         np.subtract(g, pty, out=g)
         np.divide(g, L_, out=g)
         np.subtract(x, g, out=a)
@@ -433,8 +447,9 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
         # mag is now |x| exactly, NaN and zeros included: |sign(a)| * mag.
         # x is a itself, which the next step reads before writing.
         x = np.multiply(np.sign(a, out=a), mag, out=a)
-        fx = phi @ x
-        f_new = objective(fx)
+        dot(phi, x, out=fx)
+        np.subtract(y, fx, out=r)
+        f_new = 0.5 * float(r_dot(r)) + rho * float(add_reduce(mag))
         # No separate test of x: rho > 0, so a non-finite entry of x makes
         # rho ||x||_1, and so f_new, non-finite.
         if not math.isfinite(f_new):

@@ -69,6 +69,12 @@ def test_measurement_matrix_storage_is_cache_aligned():
         assert np.array_equal(mm.phi, raw)
     fortran = np.asfortranarray(raw)
     assert MeasurementMatrix(fortran).phi is fortran
+    # A view that is neither C- nor F-ordered is stored as an aligned C copy.
+    strided = np.empty((5, 14))[:, ::2]
+    strided[...] = raw
+    mm = MeasurementMatrix(strided)
+    assert mm.phi.flags.c_contiguous and mm.phi.ctypes.data % 64 == 0
+    assert np.array_equal(mm.phi, raw)
 
 
 def test_measure_identity():

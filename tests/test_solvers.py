@@ -398,30 +398,47 @@ def test_ista_matches_gpsr_objective():
 # ------------------------------------------------------------ shared engine
 
 class MatmulCounter(np.ndarray):
-    """ndarray whose 2-D views count the `@` products taken through them."""
+    """ndarray whose 2-D views log the `@` and np.dot products taken through them.
+
+    The log is a list that gets one entry per product: the array np.dot
+    wrote into, or None for a product that allocated its result.
+    """
 
     def __array_finalize__(self, obj):
-        self.counter = getattr(obj, "counter", None)
+        self.log = getattr(obj, "log", None)
+
+    def _count(self, out=None):
+        if self.log is not None and self.ndim == 2:
+            self.log.append(out)
 
     def __matmul__(self, other):
-        if self.counter is not None and self.ndim == 2:
-            self.counter[0] += 1
+        self._count()
         return np.matmul(np.asarray(self), np.asarray(other))
 
     def __rmatmul__(self, other):
-        if self.counter is not None and self.ndim == 2:
-            self.counter[0] += 1
+        self._count()
         return np.matmul(np.asarray(other), np.asarray(self))
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.dot:
+            self._count(kwargs.get("out"))
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def counted_problem(p):
+    """A copy of p whose matrix logs its products (see MatmulCounter); returns (copy, log)."""
+    log = []
+    q = copy.copy(p)
+    q.phi = copy.copy(p.phi)
+    q.phi.phi = p.phi.phi.view(MatmulCounter)
+    q.phi.phi.log = log
+    return q, log
 
 
 def counted_products(solver, p, opts):
     """Run solver on a copy of p whose matrix counts products; return (result, count)."""
-    counter = [0]
-    q = copy.copy(p)
-    q.phi = copy.copy(p.phi)
-    q.phi.phi = p.phi.phi.view(MatmulCounter)
-    q.phi.phi.counter = counter
-    return solver(q, opts=opts), counter[0]
+    q, log = counted_problem(p)
+    return solver(q, opts=opts), len(log)
 
 
 def engine_problems():
@@ -652,24 +669,44 @@ def reference_solve_bcqp_gp(p, w_z, z0, opts=None, tol=None, on_iterate=None):
     return z, inner
 
 
+def other_layouts(p):
+    """p with its matrix stored F-ordered, and p built from a strided view of it.
+
+    np.dot(out=) and `@` sum alike on a C- or F-ordered matrix but not on a
+    strided view, which MeasurementMatrix therefore copies.
+    """
+    phi = p.phi.phi
+    strided = np.empty((phi.shape[0], 2 * phi.shape[1]))[:, ::2]
+    strided[...] = phi
+    for layout in (np.asfortranarray(phi), strided):
+        yield replace(p, phi=MeasurementMatrix(layout))
+
+
 def assert_same_as_reference(p, w_z, z0, opts=None, **kw):
-    runs = []
-    for solve in (solve_bcqp_gp, reference_solve_bcqp_gp):
-        seen = []
-        z, inner = solve(p, w_z, z0, opts, **kw,
-                         on_iterate=lambda k, z, g, a: seen.append((k, z.copy(), g, a)))
-        runs.append((z, inner, seen))
-    (z, inner, seen), (z_ref, inner_ref, seen_ref) = runs
-    assert np.array_equal(z, z_ref)
-    assert inner == inner_ref
-    assert len(seen) == len(seen_ref) == inner
-    for (k, zk, g, a), (k_ref, zk_ref, g_ref, a_ref) in zip(seen, seen_ref):
-        assert (k, g, a) == (k_ref, g_ref, a_ref)
-        assert np.array_equal(zk, zk_ref)
-    # Without a hook the iterates live in reused buffers: same bytes, same count.
-    z_untraced, inner_untraced = solve_bcqp_gp(p, w_z, z0, opts, **kw)
-    assert z_untraced.tobytes() == z_ref.tobytes() and inner_untraced == inner_ref
-    return inner
+    """solve_bcqp_gp equals the reference loop bit for bit on p and other_layouts(p).
+
+    Returns the inner iterations on p.
+    """
+    inners = []
+    for q in (p, *other_layouts(p)):
+        runs = []
+        for solve in (solve_bcqp_gp, reference_solve_bcqp_gp):
+            seen = []
+            z, inner = solve(q, w_z, z0, opts, **kw,
+                             on_iterate=lambda k, z, g, a: seen.append((k, z.copy(), g, a)))
+            runs.append((z, inner, seen))
+        (z, inner, seen), (z_ref, inner_ref, seen_ref) = runs
+        assert np.array_equal(z, z_ref)
+        assert inner == inner_ref
+        assert len(seen) == len(seen_ref) == inner
+        for (k, zk, g, a), (k_ref, zk_ref, g_ref, a_ref) in zip(seen, seen_ref):
+            assert (k, g, a) == (k_ref, g_ref, a_ref)
+            assert np.array_equal(zk, zk_ref)
+        # Without a hook the iterates live in reused buffers: same bytes, same count.
+        z_untraced, inner_untraced = solve_bcqp_gp(q, w_z, z0, opts, **kw)
+        assert z_untraced.tobytes() == z_ref.tobytes() and inner_untraced == inner_ref
+        inners.append(inner)
+    return inners[0]
 
 
 def test_bcqp_matches_reference_loop_on_engine_problems():
@@ -842,24 +879,31 @@ def reference_solve_prox(p, pty, x, L, tol, inner_max, on_iterate=None):
 
 
 def assert_prox_same_as_reference(p, x0=None, tol=1e-8, inner_max=4000):
+    """_solve_prox equals the reference loop bit for bit on p and other_layouts(p).
+
+    Returns (inner iterations, stopped on tol) on p.
+    """
     x0 = np.zeros(p.phi.n) if x0 is None else x0
-    pty = p.phi.phi.T @ p.y
-    L = _power_lam_max(p.phi.phi)
-    runs = []
-    for solve in (_solve_prox, reference_solve_prox):
-        seen = []
-        x, inner, done = solve(p, pty, x0, L, tol, inner_max,
-                               on_iterate=lambda x: seen.append(x.copy()))
-        runs.append((x, inner, done, seen))
-    (x, inner, done, seen), (x_ref, inner_ref, done_ref, seen_ref) = runs
-    assert np.array_equal(x, x_ref)
-    assert (inner, done) == (inner_ref, done_ref)
-    assert len(seen) == len(seen_ref) == inner
-    assert all(np.array_equal(a, b) for a, b in zip(seen, seen_ref))
-    # Without a hook the iterates live in a reused buffer: same bytes, same counts.
-    x_untraced, *counts = _solve_prox(p, pty, x0, L, tol, inner_max)
-    assert x_untraced.tobytes() == x_ref.tobytes() and counts == [inner_ref, done_ref]
-    return inner, done
+    outcomes = []
+    for q in (p, *other_layouts(p)):
+        pty = q.phi.phi.T @ q.y
+        L = _power_lam_max(q.phi.phi)
+        runs = []
+        for solve in (_solve_prox, reference_solve_prox):
+            seen = []
+            x, inner, done = solve(q, pty, x0, L, tol, inner_max,
+                                   on_iterate=lambda x: seen.append(x.copy()))
+            runs.append((x, inner, done, seen))
+        (x, inner, done, seen), (x_ref, inner_ref, done_ref, seen_ref) = runs
+        assert np.array_equal(x, x_ref)
+        assert (inner, done) == (inner_ref, done_ref)
+        assert len(seen) == len(seen_ref) == inner
+        assert all(np.array_equal(a, b) for a, b in zip(seen, seen_ref))
+        # Without a hook the iterates live in a reused buffer: same bytes, same counts.
+        x_untraced, *counts = _solve_prox(q, pty, x0, L, tol, inner_max)
+        assert x_untraced.tobytes() == x_ref.tobytes() and counts == [inner_ref, done_ref]
+        outcomes.append((inner, done))
+    return outcomes[0]
 
 
 def test_prox_matches_reference_loop_on_engine_problems():
@@ -912,7 +956,6 @@ def test_results_belong_to_the_caller(on_iterate):
     assert inner == 0 and not np.shares_memory(z, z0)
 
 
-
 def test_inner_loop_work_buffers_start_on_64_byte_boundaries():
     # A product with a vector off a 64-byte boundary runs slower, so the
     # iterates must not sit wherever the heap leaves them: vary the heap
@@ -930,6 +973,34 @@ def test_inner_loop_work_buffers_start_on_64_byte_boundaries():
         _solve_prox(p, pty, np.zeros(32), L, 1e-300, 3,
                     on_iterate=lambda x: offsets.append(x.ctypes.data % 64))
     assert offsets == [0] * (16 * 6)
+
+
+def test_inner_loops_write_their_products_into_the_same_arrays():
+    # The last products of a solve are its loop's: two per iteration, plus
+    # solve_bcqp_gp's refresh of phi x every 64 steps.  The two of each
+    # iteration write into two arrays allocated once per solve; only the
+    # refresh allocates its result.  The logging matrix changes no bit of
+    # the result.
+    p, x_true = small_problem(25, m=16, n=32, k=4)
+    w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
+    pty = p.phi.phi.T @ p.y
+    L = _power_lam_max(p.phi.phi)
+    opts = SolverOptions(inner_tol=1e-300, inner_max=200)
+
+    def assert_loop_reuses_two_arrays(log, refreshes):
+        loop = log[-(2 * 200 + refreshes):]
+        outs = [out for out in loop if out is not None]
+        assert len(outs) == 2 * 200 and len({id(out) for out in outs}) == 2
+
+    q, log = counted_problem(p)
+    z, inner = solve_bcqp_gp(q, w_z, np.zeros(64), opts)
+    assert inner == 200 and z.tobytes() == solve_bcqp_gp(p, w_z, np.zeros(64), opts)[0].tobytes()
+    assert_loop_reuses_two_arrays(log, 200 // 64)
+    log.clear()
+    x, j, _ = _solve_prox(q, pty, np.zeros(32), L, 1e-300, 200)
+    assert j == 200 and x.tobytes() == _solve_prox(p, pty, np.zeros(32), L, 1e-300, 200)[0].tobytes()
+    assert_loop_reuses_two_arrays(log, 0)
+
 
 def test_traced_benchmark_spans_are_called(count_calls):
     # The dcsparse.solvers spans that bench/run.py --trace 1 requires.
