@@ -28,29 +28,15 @@ def aligned_empty(shape, dtype=float) -> np.ndarray:
     return buf[start:start + nbytes].view(dtype).reshape(shape)
 
 
-def _cache_aligned(a: np.ndarray) -> np.ndarray:
-    """a itself when it is F-ordered or aligned and C-ordered, else an aligned C copy.
-
-    An F-ordered a is left alone: a C-ordered copy would change the order
-    in which matrix-vector products sum, and so their round-off.  Any other
-    layout is copied: on a strided view np.dot(out=), which the solvers'
-    inner loops use, and `@` sum differently.
-    """
-    if (a.ctypes.data % _ALIGN == 0) if a.flags.c_contiguous else a.flags.f_contiguous:
-        return a
-    out = aligned_empty(a.shape, a.dtype)
-    out[...] = a
-    return out
-
-
 @dataclass(eq=False)
 class MeasurementMatrix:
     """Dense real measurement operator with its draw seed.
 
-    m and n read phi's shape, which must be 2-D and nonempty.  An
-    F-ordered phi is stored as given; any other phi is stored C-ordered,
-    starting on a 64-byte boundary (copied if needed), which speeds up the
-    solvers' matrix-vector products.
+    m and n read phi's shape, which must be 2-D and nonempty.  phi is
+    stored C-ordered, starting on a 64-byte boundary, and any other phi is
+    copied into such an array; the solvers' matrix-vector products are
+    fastest on it.  A solve therefore depends only on phi's values, not on
+    how the caller laid them out.
 
     The solvers keep their power-method estimate of ||phi^T phi|| as
     (phi, value) in _lam_max_cache and reuse it only while phi is that
@@ -65,7 +51,10 @@ class MeasurementMatrix:
         self.phi = np.asarray(self.phi, dtype=float)
         if self.phi.ndim != 2 or self.phi.size == 0:
             raise ValueError(f"phi must be a nonempty 2-D array, got shape {self.phi.shape}")
-        self.phi = _cache_aligned(self.phi)
+        if not self.phi.flags.c_contiguous or self.phi.ctypes.data % _ALIGN:
+            aligned = aligned_empty(self.phi.shape)
+            aligned[...] = self.phi
+            self.phi = aligned
 
     @property
     def m(self) -> int:
@@ -80,7 +69,7 @@ def gaussian_matrix(m: int, n: int, seed: int) -> MeasurementMatrix:
     """Draw an m x n matrix with i.i.d. standard normal entries from an integer seed."""
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {m}x{n}")
-    return MeasurementMatrix(make_rng(seed).standard_normal((m, n)), seed=int(seed))
+    return MeasurementMatrix(make_rng(seed).standard_normal(out=aligned_empty((m, n))), seed=int(seed))
 
 
 def measure(phi: MeasurementMatrix, x: np.ndarray) -> np.ndarray:

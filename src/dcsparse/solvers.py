@@ -305,8 +305,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     # sizes as 0-d arrays refilled in place: a ufunc takes an array operand
     # faster than a Python float, and the array of zeros faster than the
     # scalar 0.0.  The loop's two products write into g and fd with
-    # np.dot(out=), which sums as `@` does for a C- or F-ordered phi
-    # (MeasurementMatrix stores no other kind).
+    # np.dot(out=).
     z, zh, d, grad = (aligned_empty(2 * n) for _ in range(4))
     dx, g = aligned_empty(n), aligned_empty(n)
     fx, fd = aligned_empty(p.phi.m), aligned_empty(p.phi.m)
@@ -637,17 +636,18 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
 def brute_force_l0(y: np.ndarray, phi: MeasurementMatrix, k: int) -> np.ndarray:
     """Exhaustive cardinality-constrained least squares over all supports of size <= k.
 
-    Verification oracle for tiny instances; guarded so the enumeration
-    cannot explode.
+    Verification oracle for tiny instances.  Raises InstanceTooLarge when
+    the enumeration would fit more than 1e6 supports.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (phi.m,):
         raise ValueError(f"y has length {y.size} but matrix has {phi.m} rows")
     if not 1 <= k <= phi.n:
         raise ValueError(f"k must lie in [1, {phi.n}], got {k}")
-    if math.comb(phi.n, k) > 10**6:
+    supports = sum(math.comb(phi.n, size) for size in range(1, k + 1))
+    if supports > 10**6:
         raise InstanceTooLarge(
-            f"C({phi.n}, {k}) = {math.comb(phi.n, k)} supports exceeds the 1e6 guard"
+            f"{supports} supports of size 1 to {k} among {phi.n} columns exceed the 1e6 guard"
         )
     _require_finite(y, phi)
     pm = phi.phi

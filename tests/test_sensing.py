@@ -61,20 +61,26 @@ def test_generators_reject_a_ready_generator():
 def test_measurement_matrix_storage_is_cache_aligned():
     raw = gaussian_matrix(5, 7, 2).phi.copy()
     buf = np.empty(raw.size + 1)
-    for offset in (0, 1):
-        misplaced = buf[offset:offset + raw.size].reshape(5, 7)
-        misplaced[...] = raw
-        mm = MeasurementMatrix(misplaced)
-        assert mm.phi.ctypes.data % 64 == 0
-        assert np.array_equal(mm.phi, raw)
-    fortran = np.asfortranarray(raw)
-    assert MeasurementMatrix(fortran).phi is fortran
-    # A view that is neither C- nor F-ordered is stored as an aligned C copy.
     strided = np.empty((5, 14))[:, ::2]
-    strided[...] = raw
-    mm = MeasurementMatrix(strided)
-    assert mm.phi.flags.c_contiguous and mm.phi.ctypes.data % 64 == 0
-    assert np.array_equal(mm.phi, raw)
+    # Whatever the input's layout, phi is stored as an aligned C array of its values.
+    for layout in (buf[:raw.size].reshape(5, 7), buf[1:].reshape(5, 7),
+                   np.asfortranarray(raw), strided):
+        layout[...] = raw
+        mm = MeasurementMatrix(layout)
+        assert mm.phi.flags.c_contiguous and mm.phi.ctypes.data % 64 == 0
+        assert np.array_equal(mm.phi, raw)
+
+
+def test_gaussian_matrix_draws_straight_into_its_storage(traced_peak):
+    for seed in range(8):
+        ref = make_rng(seed).standard_normal((128, 512))
+        holder = []
+        peak = traced_peak(lambda: holder.append(gaussian_matrix(128, 512, seed)))
+        phi = holder[0].phi
+        assert phi.tobytes() == ref.tobytes()
+        # No copy: the draw is already aligned C storage, kept as it is.
+        assert peak < 1.25 * phi.nbytes
+        assert MeasurementMatrix(phi).phi is phi
 
 
 def test_measure_identity():

@@ -8,9 +8,11 @@ import pytest
 
 import dcsparse.solvers
 from dcsparse.channel import sample_sparse_channel
+from dcsparse.harness import SOLVER_REGISTRY
 from dcsparse.metrics import normalized_sq_error
 from dcsparse.seeding import derive_seed, make_rng
-from dcsparse.sensing import MeasurementMatrix, gaussian_matrix, measure
+from dcsparse.sensing import (MeasurementMatrix, add_noise, aligned_empty, gaussian_matrix,
+                              measure, snr_to_sigma)
 from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TOL_FLOOR, _TRACE_BATCH,
                               InstanceTooLarge, NumericalFailure, ReconResult, SolverOptions,
                               SolverTrace, SparseProblem, _power_lam_max, _record,
@@ -669,44 +671,25 @@ def reference_solve_bcqp_gp(p, w_z, z0, opts=None, tol=None, on_iterate=None):
     return z, inner
 
 
-def other_layouts(p):
-    """p with its matrix stored F-ordered, and p built from a strided view of it.
-
-    np.dot(out=) and `@` sum alike on a C- or F-ordered matrix but not on a
-    strided view, which MeasurementMatrix therefore copies.
-    """
-    phi = p.phi.phi
-    strided = np.empty((phi.shape[0], 2 * phi.shape[1]))[:, ::2]
-    strided[...] = phi
-    for layout in (np.asfortranarray(phi), strided):
-        yield replace(p, phi=MeasurementMatrix(layout))
-
-
 def assert_same_as_reference(p, w_z, z0, opts=None, **kw):
-    """solve_bcqp_gp equals the reference loop bit for bit on p and other_layouts(p).
-
-    Returns the inner iterations on p.
-    """
-    inners = []
-    for q in (p, *other_layouts(p)):
-        runs = []
-        for solve in (solve_bcqp_gp, reference_solve_bcqp_gp):
-            seen = []
-            z, inner = solve(q, w_z, z0, opts, **kw,
-                             on_iterate=lambda k, z, g, a: seen.append((k, z.copy(), g, a)))
-            runs.append((z, inner, seen))
-        (z, inner, seen), (z_ref, inner_ref, seen_ref) = runs
-        assert np.array_equal(z, z_ref)
-        assert inner == inner_ref
-        assert len(seen) == len(seen_ref) == inner
-        for (k, zk, g, a), (k_ref, zk_ref, g_ref, a_ref) in zip(seen, seen_ref):
-            assert (k, g, a) == (k_ref, g_ref, a_ref)
-            assert np.array_equal(zk, zk_ref)
-        # Without a hook the iterates live in reused buffers: same bytes, same count.
-        z_untraced, inner_untraced = solve_bcqp_gp(q, w_z, z0, opts, **kw)
-        assert z_untraced.tobytes() == z_ref.tobytes() and inner_untraced == inner_ref
-        inners.append(inner)
-    return inners[0]
+    """solve_bcqp_gp equals the reference loop bit for bit on p; returns the inner iterations."""
+    runs = []
+    for solve in (solve_bcqp_gp, reference_solve_bcqp_gp):
+        seen = []
+        z, inner = solve(p, w_z, z0, opts, **kw,
+                         on_iterate=lambda k, z, g, a: seen.append((k, z.copy(), g, a)))
+        runs.append((z, inner, seen))
+    (z, inner, seen), (z_ref, inner_ref, seen_ref) = runs
+    assert np.array_equal(z, z_ref)
+    assert inner == inner_ref
+    assert len(seen) == len(seen_ref) == inner
+    for (k, zk, g, a), (k_ref, zk_ref, g_ref, a_ref) in zip(seen, seen_ref):
+        assert (k, g, a) == (k_ref, g_ref, a_ref)
+        assert np.array_equal(zk, zk_ref)
+    # Without a hook the iterates live in reused buffers: same bytes, same count.
+    z_untraced, inner_untraced = solve_bcqp_gp(p, w_z, z0, opts, **kw)
+    assert z_untraced.tobytes() == z_ref.tobytes() and inner_untraced == inner_ref
+    return inner
 
 
 def test_bcqp_matches_reference_loop_on_engine_problems():
@@ -879,31 +862,25 @@ def reference_solve_prox(p, pty, x, L, tol, inner_max, on_iterate=None):
 
 
 def assert_prox_same_as_reference(p, x0=None, tol=1e-8, inner_max=4000):
-    """_solve_prox equals the reference loop bit for bit on p and other_layouts(p).
-
-    Returns (inner iterations, stopped on tol) on p.
-    """
+    """_solve_prox equals the reference loop bit for bit on p; returns (inner iterations, stopped on tol)."""
     x0 = np.zeros(p.phi.n) if x0 is None else x0
-    outcomes = []
-    for q in (p, *other_layouts(p)):
-        pty = q.phi.phi.T @ q.y
-        L = _power_lam_max(q.phi.phi)
-        runs = []
-        for solve in (_solve_prox, reference_solve_prox):
-            seen = []
-            x, inner, done = solve(q, pty, x0, L, tol, inner_max,
-                                   on_iterate=lambda x: seen.append(x.copy()))
-            runs.append((x, inner, done, seen))
-        (x, inner, done, seen), (x_ref, inner_ref, done_ref, seen_ref) = runs
-        assert np.array_equal(x, x_ref)
-        assert (inner, done) == (inner_ref, done_ref)
-        assert len(seen) == len(seen_ref) == inner
-        assert all(np.array_equal(a, b) for a, b in zip(seen, seen_ref))
-        # Without a hook the iterates live in a reused buffer: same bytes, same counts.
-        x_untraced, *counts = _solve_prox(q, pty, x0, L, tol, inner_max)
-        assert x_untraced.tobytes() == x_ref.tobytes() and counts == [inner_ref, done_ref]
-        outcomes.append((inner, done))
-    return outcomes[0]
+    pty = p.phi.phi.T @ p.y
+    L = _power_lam_max(p.phi.phi)
+    runs = []
+    for solve in (_solve_prox, reference_solve_prox):
+        seen = []
+        x, inner, done = solve(p, pty, x0, L, tol, inner_max,
+                               on_iterate=lambda x: seen.append(x.copy()))
+        runs.append((x, inner, done, seen))
+    (x, inner, done, seen), (x_ref, inner_ref, done_ref, seen_ref) = runs
+    assert np.array_equal(x, x_ref)
+    assert (inner, done) == (inner_ref, done_ref)
+    assert len(seen) == len(seen_ref) == inner
+    assert all(np.array_equal(a, b) for a, b in zip(seen, seen_ref))
+    # Without a hook the iterates live in a reused buffer: same bytes, same counts.
+    x_untraced, *counts = _solve_prox(p, pty, x0, L, tol, inner_max)
+    assert x_untraced.tobytes() == x_ref.tobytes() and counts == [inner_ref, done_ref]
+    return inner, done
 
 
 def test_prox_matches_reference_loop_on_engine_problems():
@@ -923,6 +900,34 @@ def test_prox_matches_reference_loop_degenerate_inputs():
     assert assert_prox_same_as_reference(q) == (1, True)
     assert assert_prox_same_as_reference(p, inner_max=1) == (1, False)
     assert assert_prox_same_as_reference(p, tol=1e-300, inner_max=60) == (60, False)
+
+
+def test_a_solve_depends_only_on_the_values_of_phi():
+    # The same phi C-ordered, F-ordered, 8 bytes off a 64-byte boundary
+    # and as a strided view: MeasurementMatrix stores each as the same
+    # aligned C array, so default_rho and every solver give the same bytes.
+    # The noisy default_rho is checked on 20 matrices, the solvers on 2.
+    for sample in range(20):
+        seed = derive_seed(9100, sample)
+        channel = sample_sparse_channel(64, 4, derive_seed(seed, 0))
+        phi = gaussian_matrix(32, 128, derive_seed(seed, 1)).phi
+        sigma = snr_to_sigma(channel.x_real, 32, 15.0)
+        y = add_noise(phi @ channel.x_real, sigma, derive_seed(seed, 2))
+        shifted = aligned_empty(phi.size + 1)[1:].reshape(phi.shape)
+        strided = np.empty((32, 256))[:, ::2]
+        rho = default_rho(MeasurementMatrix(phi), y, sigma)
+        outcomes = []
+        for layout in (phi, np.asfortranarray(phi), shifted, strided):
+            layout[...] = phi
+            mm = MeasurementMatrix(layout)
+            assert default_rho(mm, y, sigma) == rho
+            if sample < 2:
+                p = SparseProblem(y=y, phi=mm, k=8, rho=rho)
+                results = {name: solve(p, SolverOptions(), channel.x_real, inner_trace=False)
+                           for name, solve in SOLVER_REGISTRY.items()}
+                outcomes.append({name: (r.x_hat.tobytes(), r.converged, r.outer_iters,
+                                        r.inner_iters_total) for name, r in results.items()})
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
 @pytest.mark.parametrize("on_iterate", [None, lambda *step: None], ids=["no_hook", "no-op_hook"])
@@ -1080,10 +1085,18 @@ def test_brute_force_zero_measurements():
     assert np.array_equal(brute_force_l0(np.zeros(5), phi, 2), np.zeros(8))
 
 
-def test_brute_force_guard():
+def test_brute_force_guard(monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
     phi = gaussian_matrix(10, 50, 26)
     with pytest.raises(InstanceTooLarge):
         brute_force_l0(np.zeros(10), phi, 10)
+    # C(24, 24) = 1, but the sizes 1 to 24 make 2^24 - 1 supports.
+    phi = gaussian_matrix(10, 24, 27)
+    with pytest.raises(InstanceTooLarge, match="16777215 supports"):
+        brute_force_l0(np.zeros(10), phi, 24)
 
 
 def test_brute_force_matches_dc_on_tiny_instances():
