@@ -88,15 +88,21 @@ class SparseProblem:
     rho: float
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        if self.y.shape != (self.phi.m,):
-            raise ValueError(
-                f"y has length {self.y.size} but matrix has {self.phi.m} rows"
-            )
-        if not 1 <= self.k <= self.phi.n:
-            raise ValueError(f"k must lie in [1, {self.phi.n}], got {self.k}")
+        self.y = _checked_measurements(self.y, self.phi, self.k, self.phi.n)
         if not self.rho > 0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
+        if self.rho == math.inf:
+            raise ValueError(f"rho must be finite, got {self.rho}")
+
+
+def _checked_measurements(y, phi: MeasurementMatrix, k: int, k_max: int) -> np.ndarray:
+    """y as a float array, once it has one entry per row of phi and 1 <= k <= k_max."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (phi.m,):
+        raise ValueError(f"y has length {y.size} but matrix has {phi.m} rows")
+    if not 1 <= k <= k_max:
+        raise ValueError(f"k must lie in [1, {k_max}], got {k}")
+    return y
 
 
 def default_rho(phi: MeasurementMatrix, y: np.ndarray, sigma: float = 0.0) -> float:
@@ -220,10 +226,14 @@ def _power_lam_max(mat: np.ndarray) -> float:
 
 
 def _lam_max(mm: MeasurementMatrix) -> float:
-    """_power_lam_max(mm.phi), computed once per operator and reused while mm.phi is that array."""
+    """_power_lam_max(mm.phi), or 1.0 where that is not positive (phi = 0).
+
+    Computed once per operator and reused while mm.phi is that array.
+    """
     cached = mm._lam_max_cache
     if cached is None or cached[0] is not mm.phi:
-        cached = mm._lam_max_cache = (mm.phi, _power_lam_max(mm.phi))
+        lam = _power_lam_max(mm.phi)
+        cached = mm._lam_max_cache = (mm.phi, lam if lam > 0 else 1.0)
     return cached[1]
 
 
@@ -259,24 +269,22 @@ def bcqp_gradient(z: np.ndarray, p: SparseProblem, w_z: np.ndarray) -> np.ndarra
 
 
 def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
-                  opts: SolverOptions | None = None, tol: float | None = None,
-                  on_iterate=None):
+                  opts: SolverOptions | None = None, on_iterate=None):
     """Projected-gradient solver for min G(z) = 0.5 z^T B z + c^T z over z >= 0.
 
     Each step projects a Barzilai-Borwein gradient step onto the
     nonnegative orthant and then moves along the resulting direction with
     the exact minimizing fraction beta in (0, 1], so G never increases.
     The stop is on the (exactly known) predicted decrease of a step
-    falling to tol * |G|: immediately when the very first step is already
-    negligible (so a warm start at the solution returns the start point
-    unchanged), otherwise after three consecutive negligible steps, which
-    keeps the nonmonotone Barzilai-Borwein step pattern from triggering a
-    premature stop.  Also stops on an exact projected-gradient fixed
-    point or at inner_max.
+    falling to opts.inner_tol * |G|: immediately when the very first step
+    is already negligible (so a warm start at the solution returns the
+    start point unchanged), otherwise after three consecutive negligible
+    steps, which keeps the nonmonotone Barzilai-Borwein step pattern from
+    triggering a premature stop.  Also stops on an exact projected-gradient
+    fixed point or at opts.inner_max.
 
     Returns (z, inner_iterations).  `on_iterate(k, z, G, alpha)` is called
-    after every accepted step.  `tol` overrides opts.inner_tol (dc_gpsr
-    passes the tolerance of each outer step).
+    after every accepted step.
 
     Ownership: the iterates ping-pong between two work buffers allocated
     once per call, so a later step overwrites the z handed to on_iterate,
@@ -284,7 +292,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
     no later call writes it, and it shares no memory with z0 or w_z.
     """
     opts = SolverOptions() if opts is None else opts
-    tol = opts.inner_tol if tol is None else tol
+    tol = opts.inner_tol
     phi = p.phi.phi
     n = p.phi.n
     w_z = np.asarray(w_z, dtype=float)
@@ -298,8 +306,7 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
 
     c = _bcqp_linear_term(p, w_z)
     c_u, c_v = c[:n], c[n:]
-    lam = _lam_max(p.phi)
-    alpha = min(max(1.0 / lam if lam > 0 else 1.0, _ALPHA_MIN), _ALPHA_MAX)
+    alpha = min(max(1.0 / _lam_max(p.phi), _ALPHA_MIN), _ALPHA_MAX)
 
     # Work buffers on 64-byte boundaries (aligned_empty), and the step
     # sizes as 0-d arrays refilled in place: a ufunc takes an array operand
@@ -403,23 +410,24 @@ def _record(trace: SolverTrace, p: SparseProblem, x: np.ndarray, inner: int,
     trace.outer_steps.extend([outer_step] * points)
 
 
-def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
-                tol: float, inner_max: int, on_iterate=None):
-    """Proximal gradients for min 0.5 ||y - phi x||^2 + rho ||x||_1, pty = phi^T y.
+def _solve_prox(p: SparseProblem, opts: SolverOptions, on_iterate=None):
+    """Proximal gradients for min 0.5 ||y - phi x||^2 + rho ||x||_1 from x = 0.
 
-    Each step's phi x serves both its objective and the next gradient, so
-    a step costs two matrix-vector products.  Stops when the relative
-    objective decrease falls to tol, or at inner_max.  Returns (x, inner
+    The step is 1/L, L = _lam_max(p.phi).  Each step's phi x serves both
+    its objective and the next gradient, so a step costs two
+    matrix-vector products.  Stops when the relative objective decrease
+    falls to opts.inner_tol, or at opts.inner_max.  Returns (x, inner
     iterations, stopped on tol); `on_iterate(x)` is called after each step.
 
     Ownership: every iterate is written into one work buffer allocated
     once per call, so the next step overwrites the x handed to on_iterate,
     and a hook copies what it keeps.  The returned x belongs to the caller:
-    no later call writes it, and it shares no memory with the start x.
+    no later call writes it.
     """
     phi = p.phi.phi
     n = p.phi.n
-    y, rho = p.y, p.rho
+    y, rho, tol = p.y, p.rho, opts.inner_tol
+    pty, L, x = phi.T @ y, _lam_max(p.phi), np.zeros(n)
     a, mag, g = aligned_empty(n), aligned_empty(n), aligned_empty(n)
     fx, r = aligned_empty(p.phi.m), aligned_empty(p.phi.m)
     zeros = np.zeros(n)
@@ -433,7 +441,7 @@ def _solve_prox(p: SparseProblem, pty: np.ndarray, x: np.ndarray, L: float,
     np.abs(x, out=mag)
     np.subtract(y, fx, out=r)
     f = 0.5 * float(r_dot(r)) + rho * float(add_reduce(mag))
-    for j in range(1, inner_max + 1):
+    for j in range(1, opts.inner_max + 1):
         # x = sign(a) * max(|a| - rho / L, 0) with a = x - (phi^T fx - pty) / L,
         # in that order.
         dot(phi_t, fx, out=g)
@@ -480,6 +488,8 @@ def dc_gpsr(p: SparseProblem, *, opts: SolverOptions | None = None,
     every step, each at rho.
     """
     opts = SolverOptions() if opts is None else opts
+    step_opts = replace(opts, inner_tol=max(opts.inner_tol, _TOL_FLOOR))
+    polish_opts = replace(opts, inner_tol=_TOL_FLOOR)
     n = p.phi.n
     rho_start = _RHO_START * float(np.max(np.abs(p.phi.phi.T @ p.y)))
     z = np.zeros(2 * n)
@@ -493,8 +503,8 @@ def dc_gpsr(p: SparseProblem, *, opts: SolverOptions | None = None,
         rho_t = max(p.rho, rho_start * _RHO_DECAY ** (t - 1))
         w = top_k1_subgradient(x, p.k).w if at_rho and x.any() else np.zeros(n)
         polish = w_dc is not None and np.array_equal(w, w_dc)
-        z_new, inner = solve_bcqp_gp(replace(p, rho=rho_t), split_pos_neg(w), z, opts,
-                                     tol=_TOL_FLOOR if polish else max(opts.inner_tol, _TOL_FLOOR))
+        z_new, inner = solve_bcqp_gp(replace(p, rho=rho_t), split_pos_neg(w), z,
+                                     polish_opts if polish else step_opts)
         delta = float(np.linalg.norm(z_new - z))
         z = z_new
         x = _unsplit(z)
@@ -571,14 +581,8 @@ def ista(p: SparseProblem, *, opts: SolverOptions | None = None,
     with inner_trace=False only the start and end points, as gpsr_baseline.
     """
     opts = SolverOptions() if opts is None else opts
-
-    def solve(add):
-        lam = _lam_max(p.phi)
-        return _solve_prox(p, p.phi.phi.T @ p.y, np.zeros(p.phi.n), lam if lam > 0 else 1.0,
-                           opts.inner_tol, opts.inner_max,
-                           on_iterate=None if add is None else lambda x: add(x.copy()))
-
-    return _l1_baseline(p, ground_truth, inner_trace, solve)
+    return _l1_baseline(p, ground_truth, inner_trace, lambda add: _solve_prox(
+        p, opts, on_iterate=None if add is None else lambda x: add(x.copy())))
 
 
 def _require_finite(y: np.ndarray, phi: MeasurementMatrix) -> None:
@@ -599,11 +603,7 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
     residual is negligible at the end, so a solve that used up its k
     rounds on a larger residual reports False.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (phi.m,):
-        raise ValueError(f"y has length {y.size} but matrix has {phi.m} rows")
-    if not 1 <= k <= min(phi.m, phi.n):
-        raise ValueError(f"k must lie in [1, {min(phi.m, phi.n)}], got {k}")
+    y = _checked_measurements(y, phi, k, min(phi.m, phi.n))
     _require_finite(y, phi)
     pm = phi.phi
     norms = np.linalg.norm(pm, axis=0)
@@ -639,11 +639,7 @@ def brute_force_l0(y: np.ndarray, phi: MeasurementMatrix, k: int) -> np.ndarray:
     Verification oracle for tiny instances.  Raises InstanceTooLarge when
     the enumeration would fit more than 1e6 supports.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (phi.m,):
-        raise ValueError(f"y has length {y.size} but matrix has {phi.m} rows")
-    if not 1 <= k <= phi.n:
-        raise ValueError(f"k must lie in [1, {phi.n}], got {k}")
+    y = _checked_measurements(y, phi, k, phi.n)
     supports = sum(math.comb(phi.n, size) for size in range(1, k + 1))
     if supports > 10**6:
         raise InstanceTooLarge(

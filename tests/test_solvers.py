@@ -1,6 +1,7 @@
 import copy
 import functools
 import inspect
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -255,6 +256,9 @@ def test_bcqp_has_no_initial_step_parameter():
     p, _ = small_problem(7)
     with pytest.raises(TypeError):
         solve_bcqp_gp(p, np.zeros(2 * p.phi.n), np.zeros(2 * p.phi.n), alpha0=1.0)
+    # Its tolerance is opts.inner_tol alone.
+    with pytest.raises(TypeError):
+        solve_bcqp_gp(p, np.zeros(2 * p.phi.n), np.zeros(2 * p.phi.n), tol=1e-8)
 
 
 def test_bcqp_rejects_negative_start():
@@ -454,13 +458,13 @@ def engine_problems():
 
 
 def solve_calls(monkeypatch):
-    """Record (rho, tol, w_z nonzero) of every solve_bcqp_gp call that dc_gpsr makes."""
+    """Record (rho, inner_tol, w_z nonzero) of every solve_bcqp_gp call that dc_gpsr makes."""
     calls = []
     solve = dcsparse.solvers.solve_bcqp_gp
 
-    def spy(p_, w_z, *args, tol=None, **kwargs):
-        calls.append((p_.rho, tol, bool(np.any(w_z))))
-        return solve(p_, w_z, *args, tol=tol, **kwargs)
+    def spy(p_, w_z, z0, opts, **kwargs):
+        calls.append((p_.rho, opts.inner_tol, bool(np.any(w_z))))
+        return solve(p_, w_z, z0, opts, **kwargs)
 
     monkeypatch.setattr(dcsparse.solvers, "solve_bcqp_gp", spy)
     return calls
@@ -529,9 +533,9 @@ def test_dc_gpsr_polishes_at_the_floor_exactly_when_the_subproblem_repeats(monke
     calls = []
     solve = dcsparse.solvers.solve_bcqp_gp
 
-    def spy(p_, w_z, *args, tol=None, **kwargs):
-        calls.append((p_.rho, tol, w_z.copy()))
-        return solve(p_, w_z, *args, tol=tol, **kwargs)
+    def spy(p_, w_z, z0, opts, **kwargs):
+        calls.append((p_.rho, opts.inner_tol, w_z.copy()))
+        return solve(p_, w_z, z0, opts, **kwargs)
 
     monkeypatch.setattr(dcsparse.solvers, "solve_bcqp_gp", spy)
     for p in engine_problems():
@@ -560,6 +564,23 @@ def test_power_method_runs_once_per_operator(count_calls):
     # A new operator starts without a value.
     assert gaussian_matrix(16, 32, 30)._lam_max_cache is None
     assert calls["_power_lam_max"] == 2
+
+
+def test_zero_operator_returns_zero_converged():
+    # phi = 0 has no curvature: the power method reads 0, and the cached
+    # estimate falls back to 1.0, a first step of 1.  Every iterative
+    # solver then stays at x = 0, converged, with no warning on the way.
+    phi = MeasurementMatrix(np.zeros((6, 10)))
+    y = np.arange(6.0)
+    p = SparseProblem(y=y, phi=phi, k=2, rho=default_rho(phi, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [solver(p) for solver in (dc_gpsr, gpsr_baseline, ista)]
+    assert phi._lam_max_cache[1] == 1.0
+    for res in results:
+        assert np.array_equal(res.x_hat, np.zeros(10)) and res.converged
+    assert [r.outer_iters for r in results] == [3, 1, 1]
+    assert [r.inner_iters_total for r in results] == [0, 0, 1]
 
 
 def trace_batches(points):
@@ -602,7 +623,7 @@ def test_products_per_inner_iteration(solver, traced, per_iteration, monkeypatch
     assert longer - short == 10 * per_iteration
 
 
-def reference_solve_bcqp_gp(p, w_z, z0, opts=None, tol=None, on_iterate=None):
+def reference_solve_bcqp_gp(p, w_z, z0, opts=None, on_iterate=None):
     """The projected-gradient loop as first written, with fresh arrays each step.
 
     Kept as the oracle for solve_bcqp_gp, which reuses buffers and must
@@ -616,7 +637,7 @@ def reference_solve_bcqp_gp(p, w_z, z0, opts=None, tol=None, on_iterate=None):
         return np.concatenate([g, -g]) + c
 
     opts = SolverOptions() if opts is None else opts
-    tol = opts.inner_tol if tol is None else tol
+    tol = opts.inner_tol
     phi = p.phi.phi
     w_z = np.asarray(w_z, dtype=float)
     z = np.asarray(z0, dtype=float).copy()
@@ -861,16 +882,15 @@ def reference_solve_prox(p, pty, x, L, tol, inner_max, on_iterate=None):
     return x, j, done
 
 
-def assert_prox_same_as_reference(p, x0=None, tol=1e-8, inner_max=4000):
+def assert_prox_same_as_reference(p, opts=None):
     """_solve_prox equals the reference loop bit for bit on p; returns (inner iterations, stopped on tol)."""
-    x0 = np.zeros(p.phi.n) if x0 is None else x0
-    pty = p.phi.phi.T @ p.y
-    L = _power_lam_max(p.phi.phi)
+    opts = SolverOptions() if opts is None else opts
+    reference = functools.partial(reference_solve_prox, p, p.phi.phi.T @ p.y, np.zeros(p.phi.n),
+                                  _power_lam_max(p.phi.phi), opts.inner_tol, opts.inner_max)
     runs = []
-    for solve in (_solve_prox, reference_solve_prox):
+    for solve in (functools.partial(_solve_prox, p, opts), reference):
         seen = []
-        x, inner, done = solve(p, pty, x0, L, tol, inner_max,
-                               on_iterate=lambda x: seen.append(x.copy()))
+        x, inner, done = solve(on_iterate=lambda x: seen.append(x.copy()))
         runs.append((x, inner, done, seen))
     (x, inner, done, seen), (x_ref, inner_ref, done_ref, seen_ref) = runs
     assert np.array_equal(x, x_ref)
@@ -878,7 +898,7 @@ def assert_prox_same_as_reference(p, x0=None, tol=1e-8, inner_max=4000):
     assert len(seen) == len(seen_ref) == inner
     assert all(np.array_equal(a, b) for a, b in zip(seen, seen_ref))
     # Without a hook the iterates live in a reused buffer: same bytes, same counts.
-    x_untraced, *counts = _solve_prox(p, pty, x0, L, tol, inner_max)
+    x_untraced, *counts = _solve_prox(p, opts)
     assert x_untraced.tobytes() == x_ref.tobytes() and counts == [inner_ref, done_ref]
     return inner, done
 
@@ -888,18 +908,13 @@ def test_prox_matches_reference_loop_on_engine_problems():
         assert assert_prox_same_as_reference(p)[0] > 1
 
 
-def test_prox_matches_reference_loop_with_warm_start():
-    p, _ = small_problem(20, m=16, n=32, k=4)
-    x0 = make_rng(8).standard_normal(32)
-    assert assert_prox_same_as_reference(p, x0=x0)[0] > 1
-
-
 def test_prox_matches_reference_loop_degenerate_inputs():
     p, _ = small_problem(21, m=16, n=32, k=4)
     q = SparseProblem(y=np.zeros(16), phi=p.phi, k=p.k, rho=p.rho)
     assert assert_prox_same_as_reference(q) == (1, True)
-    assert assert_prox_same_as_reference(p, inner_max=1) == (1, False)
-    assert assert_prox_same_as_reference(p, tol=1e-300, inner_max=60) == (60, False)
+    assert assert_prox_same_as_reference(p, SolverOptions(inner_max=1)) == (1, False)
+    assert assert_prox_same_as_reference(p, SolverOptions(inner_tol=1e-300,
+                                                          inner_max=60)) == (60, False)
 
 
 def test_a_solve_depends_only_on_the_values_of_phi():
@@ -938,22 +953,17 @@ def test_results_belong_to_the_caller(on_iterate):
     p, x_true = small_problem(25, m=16, n=32, k=4)
     w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
     z0 = np.abs(make_rng(10).standard_normal(64))
-    x0 = make_rng(11).standard_normal(32)
-    pty = p.phi.phi.T @ p.y
-    L = _power_lam_max(p.phi.phi)
     for cap in (1, 2, 3, 150):  # odd and even step counts: either work buffer last
         opts = SolverOptions(inner_tol=1e-300, inner_max=cap)
         z, inner = solve_bcqp_gp(p, w_z, z0, opts, on_iterate=on_iterate)
-        x, j, _ = _solve_prox(p, pty, x0, L, 1e-300, cap, on_iterate=on_iterate)
+        x, j, _ = _solve_prox(p, opts, on_iterate=on_iterate)
         assert inner == j == cap
         z_kept, x_kept = z.copy(), x.copy()
         solve_bcqp_gp(p, w_z, z0, opts, on_iterate=on_iterate)
         solve_bcqp_gp(p, w_z, z, opts, on_iterate=on_iterate)  # a later call started at the result
-        _solve_prox(p, pty, x0, L, 1e-300, cap, on_iterate=on_iterate)
-        _solve_prox(p, pty, x, L, 1e-300, cap, on_iterate=on_iterate)
+        _solve_prox(p, opts, on_iterate=on_iterate)
         assert z.tobytes() == z_kept.tobytes() and x.tobytes() == x_kept.tobytes()
         assert not np.shares_memory(z, z0) and not np.shares_memory(z, w_z)
-        assert not np.shares_memory(x, x0)
     # A start that is already optimal is returned as a copy.
     q = SparseProblem(y=np.zeros(p.y.size), phi=p.phi, k=p.k, rho=p.rho)
     z0 = np.zeros(64)
@@ -967,16 +977,13 @@ def test_inner_loop_work_buffers_start_on_64_byte_boundaries():
     # with held allocations of odd sizes between solves.
     p, x_true = small_problem(25, m=16, n=32, k=4)
     w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
-    pty = p.phi.phi.T @ p.y
-    L = _power_lam_max(p.phi.phi)
     opts = SolverOptions(inner_tol=1e-300, inner_max=3)
     offsets, held = [], []
     for size in range(1, 17):
         held.append(np.empty(size))
         solve_bcqp_gp(p, w_z, np.zeros(64), opts,
                       on_iterate=lambda k, z, g, a: offsets.append(z.ctypes.data % 64))
-        _solve_prox(p, pty, np.zeros(32), L, 1e-300, 3,
-                    on_iterate=lambda x: offsets.append(x.ctypes.data % 64))
+        _solve_prox(p, opts, on_iterate=lambda x: offsets.append(x.ctypes.data % 64))
     assert offsets == [0] * (16 * 6)
 
 
@@ -988,8 +995,6 @@ def test_inner_loops_write_their_products_into_the_same_arrays():
     # the result.
     p, x_true = small_problem(25, m=16, n=32, k=4)
     w_z = split_pos_neg(top_k1_subgradient(x_true, p.k).w)
-    pty = p.phi.phi.T @ p.y
-    L = _power_lam_max(p.phi.phi)
     opts = SolverOptions(inner_tol=1e-300, inner_max=200)
 
     def assert_loop_reuses_two_arrays(log, refreshes):
@@ -1002,8 +1007,8 @@ def test_inner_loops_write_their_products_into_the_same_arrays():
     assert inner == 200 and z.tobytes() == solve_bcqp_gp(p, w_z, np.zeros(64), opts)[0].tobytes()
     assert_loop_reuses_two_arrays(log, 200 // 64)
     log.clear()
-    x, j, _ = _solve_prox(q, pty, np.zeros(32), L, 1e-300, 200)
-    assert j == 200 and x.tobytes() == _solve_prox(p, pty, np.zeros(32), L, 1e-300, 200)[0].tobytes()
+    x, j, _ = _solve_prox(q, opts)
+    assert j == 200 and x.tobytes() == _solve_prox(p, opts)[0].tobytes()
     assert_loop_reuses_two_arrays(log, 0)
 
 
@@ -1119,8 +1124,9 @@ def test_sparse_problem_validation():
         SparseProblem(y=np.zeros(5), phi=phi, k=2, rho=1.0)
     with pytest.raises(ValueError):
         SparseProblem(y=np.zeros(4), phi=phi, k=0, rho=1.0)
-    with pytest.raises(ValueError):
-        SparseProblem(y=np.zeros(4), phi=phi, k=2, rho=0.0)
+    for rho in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="rho must be"):
+            SparseProblem(y=np.zeros(4), phi=phi, k=2, rho=rho)
 
 
 def test_solver_options_validation():
