@@ -11,9 +11,9 @@ of repr itself (a `repr(float(v))` call per cell took about a sixth longer).
 
 Both readers read a file in blocks of whole lines, about _BLOCK_CHARS of
 text each (`_line_blocks`), and hand each block to `_parse_rows`: one
-`np.fromstring` call per block where every character is one a plain
-decimal CSV uses, and float() per cell otherwise, or where that call
-fails, so they accept, reject and report exactly what float() does.  The
+`np.loadtxt` call per block, which converts each cell as float() does,
+and float() per cell where that call fails or would skip a blank line,
+so they accept, reject and report exactly what float() does.  The
 parsed blocks go into one 64-byte-aligned array, so a reader holds about
 twice the values' bytes and one block of text, never the whole file.
 `load_vector_csv` reads its file twice: once for the column counts, so
@@ -23,7 +23,6 @@ every real and imaginary part, inf and -0.0 included, is the one written.
 """
 
 import json
-import warnings
 from itertools import accumulate
 from pathlib import Path
 
@@ -55,12 +54,6 @@ def write_table(path, columns, rows, fmt: str = "csv") -> None:
         payload = [dict(zip(columns, row)) for row in rows]
         Path(path).with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
 
-
-# The characters of a CSV of plainly written decimals, and the only ones
-# _parse_rows hands to np.fromstring.  fromstring reads a blank cell
-# (" ") as -1.0, accepts "nan(1)" and drops the sign of "-nan", where
-# float() rejects, rejects and keeps it.
-_DECIMAL_CSV = b"0123456789.eE+-,"
 
 # Characters of text the readers take from a file at a time.
 _BLOCK_CHARS = 1 << 16
@@ -101,19 +94,15 @@ def _parse_rows(path, lines, lineno: int, first: tuple) -> np.ndarray:
     whose column count differs from that row's.
     """
     first_lineno, width = first
-    text = ",".join(lines)
-    if all(line.count(",") + 1 == width for line in lines) \
-            and not text.encode().translate(None, _DECIMAL_CSV):
-        # Older numpy (1.x) stops at a malformed cell with a DeprecationWarning,
-        # not a ValueError, and returns the cells before it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                values = np.fromstring(text, sep=",")
-            except (ValueError, DeprecationWarning):
-                values = None
-        if values is not None and values.size == len(lines) * width:
-            return values.reshape(len(lines), width)
+    # loadtxt converts a cell as float() does, but skips an empty line, which
+    # float() rejects, so a block with one goes to float() alone.
+    if "" not in lines:
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if values.shape == (len(lines), width):
+                return values
+        except ValueError:
+            pass
     rows = []
     for lineno, line in enumerate(lines, start=lineno):
         try:

@@ -99,7 +99,7 @@ def _checked_measurements(y, phi: MeasurementMatrix, k: int, k_max: int) -> np.n
     """y as a float array, once it has one entry per row of phi and 1 <= k <= k_max."""
     y = np.asarray(y, dtype=float)
     if y.shape != (phi.m,):
-        raise ValueError(f"y has length {y.size} but matrix has {phi.m} rows")
+        raise ValueError(f"y has shape {y.shape}, expected ({phi.m},)")
     if not 1 <= k <= k_max:
         raise ValueError(f"k must lie in [1, {k_max}], got {k}")
     return y
@@ -139,8 +139,8 @@ class SolverOptions:
     inner_max: int = 4000
 
     def __post_init__(self):
-        if not self.inner_tol > 0:
-            raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
+        if not 0 < self.inner_tol < math.inf:
+            raise ValueError(f"inner_tol must be > 0 and finite, got {self.inner_tol}")
         if self.outer_max < 1 or self.inner_max < 1:
             raise ValueError("iteration caps must be >= 1")
 

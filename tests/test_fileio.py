@@ -170,8 +170,9 @@ def test_save_matrix_writes_each_value_by_repr_and_reads_back_bit_exact(tmp_path
 
 
 # What float() makes of each cell, the value or its message after "line N: ".
-# The blank cell, nan(1) and -nan are cases where np.fromstring alone
-# differs: it reads " " as -1.0, accepts nan(1) and drops the sign of -nan.
+# np.loadtxt converts a cell as float() does, except that it rejects 1_0
+# and the Arabic-Indic digit, which float() then reads, and skips a blank
+# line, which float() rejects.
 _MATRIX_PARITY = [
     ("underscore", "1_0,2.0\n3.0,4.0\n", [[10.0, 2.0], [3.0, 4.0]]),
     ("hex", "1.0,2.0\n0x10,4.0\n", "line 2: could not convert string to float: '0x10'"),
@@ -186,6 +187,11 @@ _MATRIX_PARITY = [
     ("negative_nan", "-nan,1.0\n", [[float("-nan"), 1.0]]),
     ("leading_blank_lines", "\n\n1.0,2.0\n3.0,x\n",
      "line 4: could not convert string to float: 'x'"),
+    ("nul_byte", "1.0,2.0\x00\n", "line 1: could not convert string to float: '2.0\\x00'"),
+    ("arabic_indic_digit", "\u0661,2.0\n", [[1.0, 2.0]]),
+    ("hash", "1.0#x,2.0\n", "line 1: could not convert string to float: '1.0#x'"),
+    ("padded_cell", "1.0, 2.0 \n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("tab", "1.0,\t2.0\n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
 ]
 _VECTOR_PARITY = [
     ("underscore", "y\n1_0\n2.0\n", [10.0, 2.0]),
@@ -200,6 +206,11 @@ _VECTOR_PARITY = [
     ("nan_payload", "y\nnan(1)\n", "line 2: could not convert string to float: 'nan(1)'"),
     ("negative_nan", "y\n-nan\n", [float("-nan")]),
     ("leading_blank_lines", "\ny\n1.0\nx\n", "line 4: could not convert string to float: 'x'"),
+    ("nul_byte", "y\n1.0\x00\n", "line 2: could not convert string to float: '1.0\\x00'"),
+    ("arabic_indic_digit", "y\n\u0661\n2.0\n", [1.0, 2.0]),
+    ("hash", "y\n1.0#x\n", "line 2: could not convert string to float: '1.0#x'"),
+    ("padded_cell", "y\n 1.0 \n2.0\n", [1.0, 2.0]),
+    ("tab", "y\n\t1.0\n2.0\n", [1.0, 2.0]),
 ]
 
 
@@ -309,19 +320,6 @@ def test_error_in_a_later_block_names_its_line(tmp_path, monkeypatch, make, edit
     assert str(excinfo.value) == f"{path} {expected}"
 
 
-def _fromstring_numpy1(text, sep):
-    """np.fromstring as numpy 1.x has it: a malformed cell warns and ends the array."""
-    cells = []
-    for cell in text.split(sep):
-        try:
-            cells.append(float(cell))
-        except ValueError:
-            warnings.warn("string or file could not be read to its end due to unmatched data",
-                          DeprecationWarning, stacklevel=2)
-            break
-    return np.array(cells)
-
-
 def _read_or_message(read, path):
     try:
         return read(path).tobytes()
@@ -329,21 +327,41 @@ def _read_or_message(read, path):
         return str(exc)
 
 
-# The data rows of each text are all decimal-CSV characters, so they reach np.fromstring.
-@pytest.mark.parametrize("read, text", [
-    (lambda path: load_matrix(path).phi, "1.0,2.0\n3.0,4.0\n"),
-    (lambda path: load_matrix(path).phi, "1.0,2.0\n3.0,1-2\n"),
-    (lambda path: load_vector_csv(path)[1], "y\n1.0\n1e\n2.0\n"),
-    (lambda path: load_vector_csv(path)[1], "y_re,y_im\n1.0,2.0\n3.0,--4\n"),
+# Texts with no blank line, so every block reaches np.loadtxt.
+@pytest.mark.parametrize("read, text, expected", [
+    (lambda path: load_matrix(path).phi, "1.0,2.0\n3.0,4.0\n",
+     np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()),
+    (lambda path: load_matrix(path).phi, "1.0,2.0\n3.0,1-2\n",
+     "line 2: could not convert string to float: '1-2'"),
+    (lambda path: load_vector_csv(path)[1], "y\n1.0\n1e\n2.0\n",
+     "line 3: could not convert string to float: '1e'"),
+    (lambda path: load_vector_csv(path)[1], "y_re,y_im\n1.0,2.0\n3.0,--4\n",
+     "line 3: could not convert string to float: '--4'"),
 ], ids=["matrix_values", "matrix_bad_cell", "vector_bad_cell", "complex_bad_cell"])
-def test_numpy1_fromstring_warning_falls_back_to_float(tmp_path, monkeypatch, read, text):
+def test_loadtxt_reads_each_block_and_float_names_a_bad_cell(tmp_path, monkeypatch, read, text,
+                                                             expected):
     path = tmp_path / "in.csv"
     path.write_text(text)
-    expected = _read_or_message(read, path)
-    calls = []
-    monkeypatch.setattr(np, "fromstring",
-                        lambda *args, **kw: calls.append(args) or _fromstring_numpy1(*args, **kw))
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(args) or loadtxt(*args, **kw))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _read_or_message(read, path) == expected
+        got = _read_or_message(read, path)
     assert calls and caught == []
+    assert got == (expected if isinstance(expected, bytes) else f"{path} {expected}")
+
+
+def test_a_block_of_blank_lines_is_read_by_float(tmp_path, monkeypatch):
+    # The second block's text ends inside the first data line, so the first
+    # data block is the blank lines alone; np.loadtxt would skip them all
+    # and warn that its input contained no data.
+    path = tmp_path / "y.csv"
+    path.write_text("y" + "\n" * (2 * 97 - 2)
+                    + "".join(f"{v!r}\n" for v in make_rng(9).standard_normal(60)))
+    _small_blocks(monkeypatch, path)
+    assert set(next(dcsparse.fileio._data_blocks(path))[1]) == {""}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            load_vector_csv(path)
+    assert str(excinfo.value) == f"{path} line 2: could not convert string to float: ''"

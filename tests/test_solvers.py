@@ -1122,6 +1122,8 @@ def test_sparse_problem_validation():
     phi = gaussian_matrix(4, 6, 27)
     with pytest.raises(ValueError):
         SparseProblem(y=np.zeros(5), phi=phi, k=2, rho=1.0)
+    with pytest.raises(ValueError, match=r"y has shape \(4, 1\), expected \(4,\)"):
+        SparseProblem(y=np.zeros((4, 1)), phi=phi, k=2, rho=1.0)
     with pytest.raises(ValueError):
         SparseProblem(y=np.zeros(4), phi=phi, k=0, rho=1.0)
     for rho in (0.0, float("inf"), float("nan")):
@@ -1134,6 +1136,8 @@ def test_solver_options_validation():
         SolverOptions(inner_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(inner_tol=float("nan"))
+    with pytest.raises(ValueError, match="inner_tol must be > 0 and finite"):
+        SolverOptions(inner_tol=float("inf"))
     with pytest.raises(ValueError):
         SolverOptions(outer_max=0)
     with pytest.raises(ValueError):
