@@ -91,9 +91,6 @@ def _load_real_vector(path) -> np.ndarray:
 
 def _load_problem_files(args):
     """phi, y and the --truth vector (None without it), their lengths checked before any solve."""
-    for path in (Path(args.phi), Path(args.y)):
-        if not path.exists():
-            raise ValueError(f"file not found: {path}")
     phi = load_matrix(args.phi)
     y = _load_real_vector(args.y)
     if y.size != phi.m:

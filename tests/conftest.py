@@ -26,7 +26,9 @@ def count_calls(monkeypatch):
     `count_calls(module, names)` returns a name -> calls dict that fills as
     the module's code calls those names.  bench/run.py --trace 1 wraps
     functions the same way, where the calling module binds them, and
-    fails when one of its expected spans is never called.
+    fails when one of its expected spans is never called;
+    tests/test_bench_contract.py wraps those spans, read from
+    bench/workloads.py, with this fixture.
     """
     def wrap(calls, name, fn):
         def counted(*args, **kwargs):

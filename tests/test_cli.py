@@ -176,23 +176,15 @@ def test_solve_rejects_extra_csv_columns(instance_dir, capsys):
     assert "y_wide.csv line 2: 3 columns" in err
 
 
-def test_traced_benchmark_spans_are_called(tmp_path, capsys, count_calls):
-    # The spans that bench/run.py --trace 1 requires on its cli_roundtrip
-    # workload: generate, then solve --solver omp --truth --out.
-    cli_calls = count_calls(dcsparse.cli, (
-        "cli_main", "sample_sparse_channel", "gaussian_matrix", "measure", "save_channel",
-        "save_matrix", "save_vector_csv", "save_result", "save_trace_csv", "load_matrix",
-        "load_vector_csv", "default_rho", "objective_exact", "objective_l1",
-        "normalized_sq_error"))
-    harness_calls = count_calls(dcsparse.harness, ("omp",))
-    assert dcsparse.cli.cli_main(["generate", "--n", "16", "--sparsity", "2", "--m", "12",
-                                  "--seed", "11", "--out", str(tmp_path)]) == 0
-    assert dcsparse.cli.cli_main(["solve", "--phi", str(tmp_path / "phi.csv"),
-                                  "--y", str(tmp_path / "y.csv"), "--k", "4",
-                                  "--solver", "omp", "--truth", str(tmp_path / "x_true.csv"),
-                                  "--out", str(tmp_path / "run"), "--format", "json"]) == 0
-    assert all(cli_calls.values()), cli_calls
-    assert all(harness_calls.values()), harness_calls
+@pytest.mark.parametrize("command,flag", [("solve", "--phi"), ("solve", "--y"),
+                                          ("solve", "--truth"), ("oracle", "--truth")])
+def test_missing_csv_exits_1_naming_its_path(instance_dir, capsys, command, flag):
+    paths = {"--phi": str(instance_dir / "phi.csv"), "--y": str(instance_dir / "y.csv"),
+             "--truth": str(instance_dir / "x_true.csv")}
+    paths[flag] = str(instance_dir / "missing.csv")
+    code = cli_main([command, "--k", "4"] + [arg for pair in paths.items() for arg in pair])
+    assert code == 1
+    assert paths[flag] in capsys.readouterr().err
 
 
 def test_oracle_subcommand(instance_dir, capsys):

@@ -187,30 +187,6 @@ def test_snr_sweep_json_tables_hold_the_returned_rows(tmp_path):
     assert [(r["solver"], r["nse"]) for r in payload] == [(r.solver_name, r.nse) for r in records]
 
 
-def test_traced_benchmark_spans_are_called(count_calls):
-    # The spans that bench/run.py --trace 1 requires on its noiseless
-    # workload and on its snr_sweep workload, with the sweep's
-    # start-and-end-only traces of gpsr and ista.
-    cell = ("sample_sparse_channel", "gaussian_matrix", "measure", "default_rho",
-            "normalized_sq_error", "dc_gpsr", "gpsr_baseline", "omp")
-    calls = count_calls(dcsparse.harness, cell + (
-        "run_noiseless_study", "run_snr_sweep", "add_noise", "ista"))
-    solver_calls = count_calls(dcsparse.solvers, (
-        "solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
-        "normalized_sq_error"))
-    dcsparse.harness.run_noiseless_study(tiny_config(num_samples=1,
-                                                     solvers=("dc_gpsr", "gpsr", "omp")))
-    assert all(calls[name] for name in cell + ("run_noiseless_study",)), calls
-    assert all(solver_calls.values()), solver_calls
-    for counts in (calls, solver_calls):
-        counts.update(dict.fromkeys(counts, 0))
-    cfg = tiny_config(snr_grid_db=(15.0,), num_samples=1,
-                      solvers=("dc_gpsr", "gpsr", "ista", "omp"))
-    dcsparse.harness.run_snr_sweep(cfg)
-    assert all(calls[name] for name in calls if name != "run_noiseless_study"), calls
-    assert all(solver_calls.values()), solver_calls
-
-
 def test_run_cell_runs_each_solver_alone_in_config_order(count_calls, monkeypatch):
     # Every record, x_hat and trace equals the solver run alone, the
     # solvers run in the config's order, and no inner solve is shared.

@@ -1012,16 +1012,6 @@ def test_inner_loops_write_their_products_into_the_same_arrays():
     assert_loop_reuses_two_arrays(log, 0)
 
 
-def test_traced_benchmark_spans_are_called(count_calls):
-    # The dcsparse.solvers spans that bench/run.py --trace 1 requires.
-    calls = count_calls(dcsparse.solvers, (
-        "solve_bcqp_gp", "top_k1_subgradient", "objective_exact", "objective_l1",
-        "normalized_sq_error"))
-    p, x_true = small_problem(23, m=16, n=32, k=4)
-    dcsparse.solvers.dc_gpsr(p, ground_truth=x_true)
-    assert all(calls.values()), calls
-
-
 # ---------------------------------------------------------------------- omp
 
 def test_omp_single_atom():
