@@ -23,8 +23,9 @@ every inner iterate of either, evaluated _TRACE_BATCH at a time, or with
 inner_trace=False only the start and end points.  objective_exact,
 objective_l1 and normalized_sq_error score every trace point, one x or a
 stack of them; objective_exact's penalty is exactly 0 at a k-sparse x.
-omp and a brute-force cardinality-constrained least-squares oracle round
-out the benchmark set.
+omp, which refits on a thin QR of its support grown one column per round
+by matrix-vector products, and a brute-force cardinality-constrained
+least-squares oracle round out the benchmark set.
 """
 
 import math
@@ -600,18 +601,31 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
     Each round picks the column most correlated (normalized) with the
     residual, refits on the grown support, and updates the residual; stops
     early once the residual is negligible.  converged says whether the
-    residual is negligible at the end, so a solve that used up its k
-    rounds on a larger residual reports False.
+    explicit residual y - phi_S x_hat is negligible at the end, so a solve
+    that used up its k rounds on a larger residual reports False.
+
+    The refit grows a thin QR factorization of the selected columns by one
+    column per round (Sturm & Christensen, EUSIPCO 2012): classical
+    Gram-Schmidt against the earlier columns, run twice, appends a row of
+    Q^T, a column of R and an entry of Q^T y, and the residual is
+    y - Q (Q^T y).  The coefficients come from one back-substitution on R
+    at the end.  Only matrix-vector products are used, no LAPACK routine.
+    A column whose part orthogonal to the earlier ones has norm at most
+    m * eps times its own norm (the factor of lstsq's default rank cutoff)
+    raises NumericalFailure with that round as its iteration.
     """
     y = _checked_measurements(y, phi, k, min(phi.m, phi.n))
     _require_finite(y, phi)
     pm = phi.phi
     norms = np.linalg.norm(pm, axis=0)
     safe_norms = np.where(norms > 0, norms, np.inf)
+    rank_tol = phi.m * np.finfo(float).eps
 
     support: list[int] = []
-    coef = np.zeros(0)
-    resid = y.copy()
+    q_t = np.empty((k, phi.m))  # row s: column s of Q
+    r = np.zeros((k, k))
+    q_ty = np.empty(k)
+    resid = y
     resid_tol = 1e-14 * max(1.0, float(np.linalg.norm(y)))
     rounds = 0
     for step in range(1, k + 1):
@@ -619,17 +633,29 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
             break
         scores = np.abs(pm.T @ resid) / safe_norms
         scores[support] = -np.inf
-        support.append(int(np.argmax(scores)))
-        sub = pm[:, support]
-        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-        if rank < len(support):
+        j = int(np.argmax(scores))
+        support.append(j)
+        s = step - 1
+        q_s = q_t[:s]
+        v = np.array(pm[:, j])
+        for _ in range(2):  # "twice is enough"
+            c = q_s @ v
+            v -= c @ q_s
+            r[:s, s] += c
+        r[s, s] = float(np.linalg.norm(v))
+        if not r[s, s] > rank_tol * norms[j]:
             raise NumericalFailure("rank-deficient selected submatrix", iteration=step)
-        resid = y - sub @ coef
+        q_t[s] = v / r[s, s]
+        q_ty[s] = q_t[s] @ y
+        resid = y - q_ty[:step] @ q_t[:step]
         rounds = step
+    coef = np.empty(rounds)
+    for i in range(rounds - 1, -1, -1):
+        coef[i] = (q_ty[i] - r[i, i + 1:rounds] @ coef[i + 1:]) / r[i, i]
     x_hat = np.zeros(phi.n)
-    if support:
-        x_hat[support] = coef
-    return ReconResult(x_hat=x_hat, trace=SolverTrace(), converged=float(np.linalg.norm(resid)) <= resid_tol,
+    x_hat[support] = coef
+    return ReconResult(x_hat=x_hat, trace=SolverTrace(),
+                       converged=float(np.linalg.norm(y - pm[:, support] @ coef)) <= resid_tol,
                        outer_iters=rounds)
 
 

@@ -7,9 +7,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import dcsparse.harness
 import dcsparse.solvers
 from dcsparse.channel import sample_sparse_channel
-from dcsparse.harness import SOLVER_REGISTRY
+from dcsparse.harness import (SOLVER_REGISTRY, ExperimentConfig, run_noiseless_study,
+                              run_snr_sweep)
 from dcsparse.metrics import normalized_sq_error
 from dcsparse.seeding import derive_seed, make_rng
 from dcsparse.sensing import (MeasurementMatrix, add_noise, aligned_empty, gaussian_matrix,
@@ -1061,10 +1063,100 @@ def test_omp_k_range_validation():
         omp(np.zeros(4), phi, 5)  # k > m
 
 
-def test_omp_rank_deficient_matrix_raises():
-    phi = MeasurementMatrix(np.zeros((3, 4)))
-    with pytest.raises(NumericalFailure):
-        omp(np.array([1.0, 1.0, 0.0]), phi, 2)
+@pytest.mark.parametrize("phi, y, iteration", [
+    (np.zeros((3, 4)), [1.0, 1.0, 0.0], 1),
+    # Round 1 picks column 0; round 2 can only pick column 1, twice column 0.
+    (np.array([[1.0, 2.0], [0.0, 0.0]]), [1.0, 1.0], 2),
+], ids=["zero_matrix", "parallel_column"])
+def test_omp_rank_deficient_matrix_raises(phi, y, iteration):
+    with pytest.raises(NumericalFailure, match="rank-deficient") as failure:
+        omp(np.array(y), MeasurementMatrix(phi), 2)
+    assert failure.value.iteration == iteration
+
+
+def reference_omp(y, phi, k):
+    """omp with its refit as np.linalg.lstsq on the whole support every round.
+
+    Returns (support in selection order, x_hat, rounds, converged).
+    """
+    pm = phi.phi
+    norms = np.linalg.norm(pm, axis=0)
+    safe_norms = np.where(norms > 0, norms, np.inf)
+    support = []
+    coef = np.zeros(0)
+    resid = y.copy()
+    resid_tol = 1e-14 * max(1.0, float(np.linalg.norm(y)))
+    rounds = 0
+    for step in range(1, k + 1):
+        if float(np.linalg.norm(resid)) <= resid_tol:
+            break
+        scores = np.abs(pm.T @ resid) / safe_norms
+        scores[support] = -np.inf
+        support.append(int(np.argmax(scores)))
+        sub = pm[:, support]
+        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
+        if rank < len(support):
+            raise NumericalFailure("rank-deficient selected submatrix", iteration=step)
+        resid = y - sub @ coef
+        rounds = step
+    x_hat = np.zeros(phi.n)
+    x_hat[support] = coef
+    return support, x_hat, rounds, float(np.linalg.norm(resid)) <= resid_tol
+
+
+class ArgmaxLog:
+    """numpy for dcsparse.solvers, with every np.argmax result logged in picks."""
+
+    def __init__(self):
+        self.picks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmax(self, a):
+        i = np.argmax(a)
+        self.picks.append(int(i))
+        return i
+
+
+def test_omp_matches_the_lstsq_refit_on_harness_cells(monkeypatch):
+    # The first 30 harness cells (base seed 42, 256 antennas, k = 32),
+    # noiseless and at 5 and 25 dB, as run_cell hands them to omp.
+    cells = []
+
+    def keep(y, phi, k):
+        cells.append((y, phi, k))
+        return omp(y, phi, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dcsparse.harness, "omp", keep)
+        cfg = ExperimentConfig(solvers=("omp",), num_samples=30)
+        run_noiseless_study(cfg)
+        run_snr_sweep(replace(cfg, snr_grid_db=(5.0, 25.0)))
+    assert len(cells) == 90
+    log = ArgmaxLog()
+    monkeypatch.setattr(dcsparse.solvers, "np", log)
+    for y, phi, k in cells:
+        order, x_ref, rounds, converged = reference_omp(y, phi, k)
+        log.picks.clear()
+        res = omp(y, phi, k)
+        assert log.picks == order
+        assert (res.outer_iters, res.converged) == (rounds, converged)
+        assert np.linalg.norm(res.x_hat - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_omp_calls_no_lapack_routine(monkeypatch):
+    # The first call of a LAPACK routine pages its code into the process
+    # for the rest of the run; omp uses matrix-vector products only.
+    p, x_true = antenna_cell()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("omp called a LAPACK routine")
+
+    for name in ("lstsq", "qr", "solve", "svd", "cholesky", "inv", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    res = omp(p.y, p.phi, p.k)
+    assert res.converged and normalized_sq_error(x_true, res.x_hat) <= 1e-20
 
 
 # ------------------------------------------------------------- brute force
