@@ -21,14 +21,12 @@ import numpy as np
 from .channel import sample_sparse_channel
 from .fileio import load_matrix, load_vector_csv, save_channel, save_matrix, \
     save_result, save_trace_csv, save_vector_csv
-from .harness import SOLVER_REGISTRY, ConfigError, load_config, run_noiseless_study, \
-    run_snr_sweep
+from .harness import SOLVER_REGISTRY, load_config, run_noiseless_study, run_snr_sweep
 from .metrics import normalized_sq_error
 from .seeding import derive_seed
 from .sensing import gaussian_matrix, measure
-from .solvers import (InstanceTooLarge, NumericalFailure, SolverOptions,
-                      SparseProblem, brute_force_l0, default_rho, objective_exact,
-                      objective_l1)
+from .solvers import (NumericalFailure, SolverOptions, SparseProblem, brute_force_l0,
+                      default_rho, objective_exact, objective_l1)
 
 
 class _UsageError(Exception):
@@ -194,7 +192,7 @@ def cli_main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, InstanceTooLarge, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and InstanceTooLarge are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,14 +16,14 @@ and float() per cell where that call fails or would skip a blank line,
 so they accept, reject and report exactly what float() does.  The
 parsed blocks go into one 64-byte-aligned array, so a reader holds about
 twice the values' bytes and one block of text, never the whole file.
-`load_vector_csv` reads its file twice: once for the column counts, so
-the first wrong count is reported before any bad cell, and once for the
-values.  A re,im file comes back as a complex view of that array, so
-every real and imaginary part, inf and -0.0 included, is the one written.
+Each reader reads its file once: `load_vector_csv` takes its header from
+the first block and hands the rest to `load_matrix`'s path, so both report
+the first bad cell or ragged row in file order.  A re,im file comes back as
+a complex view of that array: every part, inf and -0.0 included, as written.
 """
 
 import json
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -138,32 +138,19 @@ def save_vector_csv(path, name: str, values: np.ndarray) -> None:
         write_table(path, (name,), zip(values.astype(float).tolist()))
 
 
-def _data_blocks(path):
-    """The blocks of `_line_blocks(path)` without the text's first line, a header."""
-    blocks = _line_blocks(path)
-    lineno, lines = next(blocks)
-    yield lineno + 1, lines[1:]
-    yield from blocks
-
-
 def load_vector_csv(path):
     """Returns (field_name, vector); two data columns are read back as complex.
 
-    Raises ValueError, naming the line, unless every data row has one
-    column or every row has two, and for a cell that is not a number.
-    The first wrong column count in the file is reported before any cell.
+    Raises ValueError, naming the line, at the first cell that is not a
+    number or row whose column count differs from the first data row's,
+    in file order, and once all rows are read, if that row has over two.
     """
-    header = width = None
-    for lineno, lines in _line_blocks(path):  # pass 1: the column counts
-        if header is None:
-            header, lineno, lines = lines[0], lineno + 1, lines[1:]
-        for lineno, line in enumerate(lines, lineno):
-            columns = line.count(",") + 1
-            width = width or columns
-            if columns != width or width > 2:
-                raise ValueError(f"{path} line {lineno}: {columns} columns; a vector CSV "
-                                 "has one column (real) or two (re,im) in every row")
-    values = _read_rows(path, _data_blocks(path))  # pass 2: the cells
+    blocks = _line_blocks(path)
+    lineno, (header, *lines) = next(blocks)
+    values = _read_rows(path, chain([(lineno + 1, lines)], blocks))
+    if values.shape[1] > 2:
+        raise ValueError(f"{path} line {lineno + 1}: {values.shape[1]} columns; a vector CSV "
+                         "has one column (real) or two (re,im) in every row")
     if values.shape[1] == 2:
         return header.split(",")[0].removesuffix("_re"), values.view(complex).ravel()
     return header, values.ravel()
@@ -182,7 +169,7 @@ def save_channel(sample: ChannelSample, out_dir) -> None:
 
 
 def save_matrix(path, matrix: MeasurementMatrix) -> None:
-    """Row-major CSV, one row per line, no header; JSON sidecar with m, n, seed."""
+    """Row-major CSV, one row per line, no header; a JSON sidecar of m, n, seed, never read."""
     path = Path(path)
     with path.open("w") as f:  # one row's text at a time
         f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in matrix.phi)
@@ -191,24 +178,8 @@ def save_matrix(path, matrix: MeasurementMatrix) -> None:
 
 
 def load_matrix(path) -> MeasurementMatrix:
-    """Raises ValueError, naming the line, for a cell that is not a number or a ragged row.
-
-    Also naming the JSON sidecar, unless it parses as an object with an integer or null seed.
-    """
-    path = Path(path)
-    phi = _read_rows(path, _line_blocks(path))
-    sidecar_path = path.with_suffix(".json")
-    seed = None
-    if sidecar_path.exists():
-        try:
-            meta = json.loads(sidecar_path.read_text())
-            if not (isinstance(meta, dict) and type(meta.get("seed", 0)) in (int, type(None))):
-                raise ValueError("expected a JSON object whose seed is an integer or null, "
-                                 f"got {meta!r}")
-        except ValueError as exc:  # json.JSONDecodeError is one
-            raise ValueError(f"{sidecar_path}: {exc}") from None
-        seed = meta.get("seed")
-    return MeasurementMatrix(phi, seed=seed)
+    """Reads path alone, seed None; raises ValueError naming a bad cell's or ragged row's line."""
+    return MeasurementMatrix(_read_rows(path, _line_blocks(path)))
 
 
 TRACE_COLUMNS = ("outer_iter", "inner_iter_cumulative", "F", "l1_objective", "normalized_sq_error")

@@ -187,10 +187,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    return parse_config(Path(path).read_text())
 
 
 def cell_seed(base_seed: int, sample_index: int, snr_db: float | None) -> int:

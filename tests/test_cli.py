@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,7 +237,8 @@ def test_bench_missing_config(tmp_path, capsys):
     code = cli_main(["bench", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)])
     assert code == 1
-    assert "nope.cfg" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nope.cfg" in err and "No such file or directory" in err
 
 
 def test_bench_bad_config_key(tmp_path, capsys):
@@ -314,10 +316,32 @@ def test_truth_length_is_checked_before_any_solve(instance_dir, capsys, monkeypa
     assert capsys.readouterr().err == f"error: {short} has length 6 but phi has 32 columns\n"
 
 
-def test_solve_rejects_a_sidecar_that_is_not_an_object(instance_dir, capsys):
+def test_solve_ignores_a_sidecar_that_is_not_an_object(instance_dir, capsys):
+    args = ["solve", "--phi", str(instance_dir / "phi.csv"), "--y", str(instance_dir / "y.csv"),
+            "--k", "4"]
+    assert cli_main(args) == 0
+    expected = capsys.readouterr()
     (instance_dir / "phi.json").write_text("[1, 2]\n")
+    assert cli_main(args) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_solve_reads_each_input_file_once(instance_dir, capsys, monkeypatch):
+    reads, real_open, real_read_text = [], open, Path.read_text
+
+    def spy_open(file, *args, **kwargs):
+        reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    def spy_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy_open)
+    monkeypatch.setattr(Path, "read_text", spy_read_text)
     code = cli_main(["solve", "--phi", str(instance_dir / "phi.csv"),
-                     "--y", str(instance_dir / "y.csv"), "--k", "4"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {instance_dir / 'phi.json'}: ") and "Traceback" not in err
+                     "--y", str(instance_dir / "y.csv"), "--k", "4",
+                     "--truth", str(instance_dir / "x_true.csv"), "--solver", "omp"])
+    assert code == 0
+    assert [Path(str(f)).name for f in reads if Path(str(f)).parent == instance_dir] == [
+        "phi.csv", "y.csv", "x_true.csv"]
