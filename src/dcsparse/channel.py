@@ -15,6 +15,10 @@ import numpy as np
 
 from .seeding import make_rng
 
+# Columns of U that ChannelSample.h_spatial builds and multiplies at a time:
+# a 1 MiB block at n = 1024, where U is 16 MiB.
+_DFT_BLOCK = 64
+
 
 @dataclass(eq=False)
 class ChannelSample:
@@ -32,13 +36,26 @@ class ChannelSample:
 
     @property
     def h_spatial(self) -> np.ndarray:
-        """The spatial channel U^H h_angular; builds the n x n DFT matrix U on every access.
+        """The spatial channel U^H h_angular, computed _DFT_BLOCK columns of U at a time.
 
-        U is conjugated in place, so the access holds one n x n complex
-        array at its peak, not two.
+        Each block of columns is built, conjugated in place and multiplied
+        by h_angular before the next one, so an access holds one n x
+        _DFT_BLOCK complex block at its peak, never the n x n U.  The
+        result is bit for bit conj(dft_matrix(n)).T @ h_angular: a block
+        holds the bytes of U's columns, and BLAS gives each row of the
+        product the same bits at any block width but one.  A one-column
+        block goes through numpy's dot routine instead, whose last bits
+        differ, so the blocks start short of the last column and it joins
+        the block before it.
         """
-        u = dft_matrix(self.h_angular.size)
-        return np.conj(u, out=u).T @ self.h_angular
+        n = self.h_angular.size
+        edges = [*range(0, max(n - 1, 1), _DFT_BLOCK), n]
+        out = np.empty(n, dtype=complex)
+        for start, stop in zip(edges, edges[1:]):
+            u = _dft_columns(n, start, stop)
+            out[start:stop] = np.conj(u, out=u).T @ self.h_angular
+            del u  # free this block before the next one is built
+        return out
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -47,16 +64,23 @@ def dft_matrix(n: int) -> np.ndarray:
     Row i (1-based) holds exp(2j*pi*phi_i*l) / sqrt(n), l = 0..n-1: the
     conjugate of the half-wavelength array's response to direction
     phi_i = (i - (n+1)/2) / n, the grid of an n-element array.  Satisfies
-    U @ U^H = I.
-
-    Each step writes into the one n x n complex result, with the ufuncs
-    and operand order of exp(2j*pi*outer(phis, l)) / sqrt(n), so the
-    values are bit for bit that expression's.
+    U @ U^H = I.  It is _dft_columns(n, 0, n), so any block of its
+    columns that h_spatial builds holds the same bytes.
     """
     if n < 1:
         raise ValueError(f"antenna count must be >= 1, got {n}")
+    return _dft_columns(n, 0, n)
+
+
+def _dft_columns(n: int, start: int, stop: int) -> np.ndarray:
+    """Columns [start, stop) of dft_matrix(n), as a C-ordered n x (stop - start) array.
+
+    Each step writes into the one complex result, with the ufuncs and
+    operand order of exp(2j*pi*outer(phis, l)) / sqrt(n), so the values
+    are bit for bit that expression's.
+    """
     phis = (np.arange(1, n + 1) - (n + 1) / 2) / n
-    u = np.multiply.outer(phis, np.arange(n), out=np.empty((n, n), dtype=complex))
+    u = np.multiply.outer(phis, np.arange(start, stop), out=np.empty((n, stop - start), dtype=complex))
     np.multiply(2j * np.pi, u, out=u)
     np.exp(u, out=u)
     return np.divide(u, np.sqrt(n), out=u)

@@ -116,14 +116,35 @@ def default_rho(phi: MeasurementMatrix, y: np.ndarray, sigma: float = 0.0) -> fl
     universal threshold, 0.5 * sigma * sqrt(2 log n) * mean ||phi_j||,
     which suppresses pure-noise coordinates while keeping weak signal
     components detectable; the top-k credit leaves the selected support
-    unshrunk regardless.  Returns 1.0 for y == 0.
+    unshrunk regardless.  Returns 1.0 for y == 0.  The column norms come
+    from _column_norms, which holds one row of scratch, not a square of
+    all of phi.
     """
     pm = phi.phi
     v = 5e-4 * float(np.max(np.abs(pm.T @ np.asarray(y, dtype=float))))
     if sigma > 0:
-        col_scale = float(np.mean(np.linalg.norm(pm, axis=0)))
+        col_scale = float(np.mean(_column_norms(pm)))
         v = max(v, 0.5 * sigma * math.sqrt(2.0 * math.log(phi.n)) * col_scale)
     return v if v > 0 else 1.0
+
+
+def _column_norms(pm: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of pm, bit for bit np.linalg.norm(pm, axis=0).
+
+    That call squares all of pm into a temporary and sums it row after
+    row.  Here each row is squared into one scratch row and added in
+    place, in the same order, so nothing larger than a row is held.  On
+    one column numpy sums the contiguous axis pairwise instead, which a
+    row loop does not reproduce, so a one-column pm goes to that call,
+    whose temporary is then one column.
+    """
+    if pm.shape[1] == 1:
+        return np.linalg.norm(pm, axis=0)
+    acc = pm[0] * pm[0]
+    row = np.empty_like(acc)
+    for i in range(1, pm.shape[0]):
+        acc += np.multiply(pm[i], pm[i], out=row)
+    return np.sqrt(acc, out=acc)
 
 
 @dataclass
@@ -612,12 +633,15 @@ def omp(y: np.ndarray, phi: MeasurementMatrix, k: int) -> ReconResult:
     at the end.  Only matrix-vector products are used, no LAPACK routine.
     A column whose part orthogonal to the earlier ones has norm at most
     m * eps times its own norm (the factor of lstsq's default rank cutoff)
-    raises NumericalFailure with that round as its iteration.
+    raises NumericalFailure with that round as its iteration.  The column
+    norms come from _column_norms, so beyond phi itself a solve holds
+    vectors, Q^T's k x m rows and the k selected columns, no array of
+    phi's size.
     """
     y = _checked_measurements(y, phi, k, min(phi.m, phi.n))
     _require_finite(y, phi)
     pm = phi.phi
-    norms = np.linalg.norm(pm, axis=0)
+    norms = _column_norms(pm)
     safe_norms = np.where(norms > 0, norms, np.inf)
     rank_tol = phi.m * np.finfo(float).eps
 

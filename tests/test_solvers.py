@@ -18,8 +18,8 @@ from dcsparse.sensing import (MeasurementMatrix, add_noise, aligned_empty, gauss
                               measure, snr_to_sigma)
 from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TOL_FLOOR, _TRACE_BATCH,
                               InstanceTooLarge, NumericalFailure, ReconResult, SolverOptions,
-                              SolverTrace, SparseProblem, _power_lam_max, _record,
-                              _solve_prox, bcqp_gradient, brute_force_l0, dc_gpsr,
+                              SolverTrace, SparseProblem, _column_norms, _power_lam_max,
+                              _record, _solve_prox, bcqp_gradient, brute_force_l0, dc_gpsr,
                               default_rho, gpsr_baseline, ista, objective_exact,
                               objective_l1, omp, solve_bcqp_gp, split_pos_neg)
 from dcsparse.sparsity import sparsity_gap, top_k1_norm, top_k1_subgradient
@@ -1157,6 +1157,47 @@ def test_omp_calls_no_lapack_routine(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     res = omp(p.y, p.phi, p.k)
     assert res.converged and normalized_sq_error(x_true, res.x_hat) <= 1e-20
+
+
+def test_omp_and_noise_aware_default_rho_hold_no_phi_sized_array(traced_peak):
+    # np.linalg.norm(phi, axis=0) squared all of phi into a temporary.
+    p, _ = antenna_cell()
+    y = add_noise(p.y, 0.1, 33)
+    bound = 0.5 * p.phi.phi.nbytes
+    assert traced_peak(lambda: omp(y, p.phi, p.k)) < bound
+    assert traced_peak(lambda: default_rho(p.phi, y, sigma=0.1)) < bound
+
+
+def _norms_case(shape, seed, values=None):
+    """A C-ordered phi of the given shape, drawn normal or from values."""
+    rng = make_rng(seed)
+    a = rng.standard_normal(shape) if values is None else rng.choice(values, size=shape)
+    return MeasurementMatrix(a).phi
+
+
+# One-column matrices are where numpy sums the contiguous axis pairwise;
+# a plain row loop differs there in the last bits.
+NORM_SHAPES = ([(1, n) for n in (1, 2, 7, 9, 512)] + [(m, 1) for m in (1, 2, 8, 9, 17, 128, 300)]
+               + [(m, 2) for m in (1, 3, 9, 17, 128, 300)] + [(128, 512)])
+
+
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_column_norms_match_linalg_norm_bit_for_bit(shape):
+    for seed in range(3):
+        pm = _norms_case(shape, derive_seed(9100, seed))
+        ref = np.linalg.norm(pm, axis=0)
+        got = _column_norms(pm)
+        assert (got.shape, got.dtype, got.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (1, 6), (5, 2), (2, 5), (40, 30)])
+def test_column_norms_match_linalg_norm_on_inf_nan_and_signed_zeros(shape):
+    pm = _norms_case(shape, 9101, values=[np.inf, -np.inf, np.nan, 0.0, -0.0, 1.5, -2.0])
+    assert _column_norms(pm).tobytes() == np.linalg.norm(pm, axis=0).tobytes()
+    zeros = np.zeros(shape)
+    zeros[::2] = -0.0
+    pm = MeasurementMatrix(zeros).phi
+    assert _column_norms(pm).tobytes() == np.linalg.norm(pm, axis=0).tobytes()
 
 
 # ------------------------------------------------------------- brute force
