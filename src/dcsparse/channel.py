@@ -46,7 +46,9 @@ class ChannelSample:
         product the same bits at any block width but one.  A one-column
         block goes through numpy's dot routine instead, whose last bits
         differ, so the blocks start short of the last column and it joins
-        the block before it.
+        the block before it.  That holds with one BLAS thread; with more,
+        BLAS splits each product's rows at points set by the thread count,
+        so the whole product's own last bits vary with it, and so do these.
         """
         n = self.h_angular.size
         edges = [*range(0, max(n - 1, 1), _DFT_BLOCK), n]

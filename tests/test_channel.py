@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +11,27 @@ import dcsparse
 import dcsparse.channel
 from dcsparse.channel import concat_real, dft_matrix, sample_sparse_channel
 from dcsparse.seeding import make_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_with_one_blas_thread(code):
+    """Run `code` in a child Python whose BLAS uses one thread; return its stdout.
+
+    With several threads OpenBLAS splits a matrix-vector product's rows
+    at points set by the thread count, and rows next to a split get other
+    last bits.  The whole product's own bytes then vary with the thread
+    count, so comparing h_spatial with it bit for bit needs one thread,
+    as bench/run.py and CI pin.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_dft_matrix_degenerate():
@@ -71,7 +98,11 @@ def test_sample_sparse_channel_builds_the_dft_matrix_only_for_h_spatial(count_ca
     h = s.h_spatial
     # Blocks of 64, 64 and 2 columns.
     assert calls["_dft_columns"] == 3
-    assert np.array_equal(h, dft_matrix(130).conj().T @ s.h_angular)
+    # The same products from dft_matrix's own columns: the same BLAS calls,
+    # so equal at any thread count.  The whole product is checked below.
+    u = dft_matrix(130)
+    blocks = [np.conj(u[:, a:b]).T @ s.h_angular for a, b in [(0, 64), (64, 128), (128, 130)]]
+    assert np.array_equal(h, np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("n", [1, 31, 64])
@@ -86,12 +117,22 @@ def test_dft_matrix_and_h_spatial_are_the_reference_expressions_bit_for_bit(n):
 def test_h_spatial_is_the_whole_dft_product_bit_for_bit():
     # A lone last column would go through numpy's dot routine, whose last
     # bits differ: n = 1 (mod 64) is where that would show.
-    differ = []
-    for n in [*range(1, 301), 1023, 1024, 1025]:
-        s = sample_sparse_channel(n, min(n, 16), n)
-        if s.h_spatial.tobytes() != (np.conj(dft_matrix(n)).T @ s.h_angular).tobytes():
-            differ.append(n)
-    assert differ == []
+    differ = _run_with_one_blas_thread("""
+        import numpy as np
+        from dcsparse.channel import dft_matrix, sample_sparse_channel
+        differ = []
+        for n in [*range(1, 301), 1023, 1024, 1025]:
+            s = sample_sparse_channel(n, min(n, 16), n)
+            if s.h_spatial.tobytes() != (np.conj(dft_matrix(n)).T @ s.h_angular).tobytes():
+                differ.append(n)
+        print(differ)
+    """)
+    assert differ.strip() == "[]"
+    # At this process's own BLAS thread count the two agree to rounding.
+    for n in [65, 130, 1025]:
+        s = sample_sparse_channel(n, 16, n)
+        whole = np.conj(dft_matrix(n)).T @ s.h_angular
+        assert np.linalg.norm(s.h_spatial - whole) <= 1e-15 * np.linalg.norm(whole)
 
 
 @pytest.mark.parametrize("n, start, stop", [(1, 0, 1), (7, 2, 5), (130, 64, 130), (256, 0, 256)])
