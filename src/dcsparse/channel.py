@@ -6,7 +6,8 @@ built from the array's orthogonal steering directions maps the spatial
 channel to the angular domain, where scattering is concentrated in a few
 bins.  sample_sparse_channel draws such a sparse angular channel on that
 grid and stacks its real and imaginary parts into the real sparse vector
-the solvers work on; ChannelSample.h_spatial maps it back to the array.
+the solvers work on.  ChannelSample.h_spatial maps it back to the array as
+the sum of the sparse paths' array responses, one per nonzero bin.
 """
 
 from dataclasses import dataclass
@@ -14,11 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import make_rng
-
-# Columns of U that ChannelSample.h_spatial builds and multiplies at a time:
-# a 1 MiB block at n = 1024, where U is 16 MiB.
-_DFT_BLOCK = 64
-
 
 @dataclass(eq=False)
 class ChannelSample:
@@ -36,28 +32,21 @@ class ChannelSample:
 
     @property
     def h_spatial(self) -> np.ndarray:
-        """The spatial channel U^H h_angular, computed _DFT_BLOCK columns of U at a time.
+        """The spatial channel U^H h_angular, as the sum of its paths' array responses.
 
-        Each block of columns is built, conjugated in place and multiplied
-        by h_angular before the next one, so an access holds one n x
-        _DFT_BLOCK complex block at its peak, never the n x n U.  The
-        result is bit for bit conj(dft_matrix(n)).T @ h_angular: a block
-        holds the bytes of U's columns, and BLAS gives each row of the
-        product the same bits at any block width but one.  A one-column
-        block goes through numpy's dot routine instead, whose last bits
-        differ, so the blocks start short of the last column and it joins
-        the block before it.  That holds with one BLAS thread; with more,
-        BLAS splits each product's rows at points set by the thread count,
-        so the whole product's own last bits vary with it, and so do these.
+        Only the s rows of U at the s nonzero angular bins contribute, so an
+        access builds those rows, conjugates them in place, scales each by
+        its gain and sums them: one s x n complex block, never the n x n U.
+        The sum is a numpy reduction with no BLAS call, so its bytes do not
+        depend on the BLAS thread count.  It matches
+        conj(dft_matrix(n)).T @ h_angular to rounding, not bit for bit.
         """
         n = self.h_angular.size
-        edges = [*range(0, max(n - 1, 1), _DFT_BLOCK), n]
-        out = np.empty(n, dtype=complex)
-        for start, stop in zip(edges, edges[1:]):
-            u = _dft_columns(n, start, stop)
-            out[start:stop] = np.conj(u, out=u).T @ self.h_angular
-            del u  # free this block before the next one is built
-        return out
+        bins = np.flatnonzero(self.h_angular)
+        rows = _dft_rows(n, bins)
+        np.conj(rows, out=rows)
+        rows *= self.h_angular[bins, None]
+        return rows.sum(axis=0)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -66,23 +55,23 @@ def dft_matrix(n: int) -> np.ndarray:
     Row i (1-based) holds exp(2j*pi*phi_i*l) / sqrt(n), l = 0..n-1: the
     conjugate of the half-wavelength array's response to direction
     phi_i = (i - (n+1)/2) / n, the grid of an n-element array.  Satisfies
-    U @ U^H = I.  It is _dft_columns(n, 0, n), so any block of its
-    columns that h_spatial builds holds the same bytes.
+    U @ U^H = I.  It is _dft_rows(n, np.arange(n)), so the rows that
+    h_spatial builds hold the same bytes.
     """
     if n < 1:
         raise ValueError(f"antenna count must be >= 1, got {n}")
-    return _dft_columns(n, 0, n)
+    return _dft_rows(n, np.arange(n))
 
 
-def _dft_columns(n: int, start: int, stop: int) -> np.ndarray:
-    """Columns [start, stop) of dft_matrix(n), as a C-ordered n x (stop - start) array.
+def _dft_rows(n: int, bins: np.ndarray) -> np.ndarray:
+    """Rows `bins` of dft_matrix(n), as a C-ordered len(bins) x n array.
 
     Each step writes into the one complex result, with the ufuncs and
     operand order of exp(2j*pi*outer(phis, l)) / sqrt(n), so the values
     are bit for bit that expression's.
     """
     phis = (np.arange(1, n + 1) - (n + 1) / 2) / n
-    u = np.multiply.outer(phis, np.arange(start, stop), out=np.empty((n, stop - start), dtype=complex))
+    u = np.multiply.outer(phis[bins], np.arange(n), out=np.empty((len(bins), n), dtype=complex))
     np.multiply(2j * np.pi, u, out=u)
     np.exp(u, out=u)
     return np.divide(u, np.sqrt(n), out=u)
@@ -103,6 +92,8 @@ def sample_sparse_channel(n: int, sparsity: int, seed: int) -> ChannelSample:
     vector always has exactly 2 * sparsity nonzeros.  Deterministic in the
     integer `seed`.
     """
+    if n < 1:
+        raise ValueError(f"antenna count must be >= 1, got {n}")
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must lie in [1, {n}], got {sparsity}")
     gen = make_rng(seed)

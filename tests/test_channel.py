@@ -10,24 +10,25 @@ import pytest
 import dcsparse
 import dcsparse.channel
 from dcsparse.channel import concat_real, dft_matrix, sample_sparse_channel
+from dcsparse.cli import cli_main
 from dcsparse.seeding import make_rng
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_with_one_blas_thread(code):
-    """Run `code` in a child Python whose BLAS uses one thread; return its stdout.
+def _run_with_blas_threads(code, threads):
+    """Run `code` in a child Python whose BLAS uses `threads` threads; return its stdout.
 
     With several threads OpenBLAS splits a matrix-vector product's rows
     at points set by the thread count, and rows next to a split get other
-    last bits.  The whole product's own bytes then vary with the thread
-    count, so comparing h_spatial with it bit for bit needs one thread,
-    as bench/run.py and CI pin.
+    last bits, so a result built on a BLAS product can vary with the
+    thread count.  The count is read once, when numpy loads BLAS, so only
+    a new process can set it.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(threads)
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -91,18 +92,21 @@ def test_sample_sparse_channel_deterministic():
     assert a.seed == b.seed == 99
 
 
+def _path_sum(u, h):
+    """U^H h written as the sum of the rows of conj(U) at h's nonzero bins, each times its gain."""
+    bins = np.flatnonzero(h)
+    return (np.conj(u[bins]) * h[bins, None]).sum(axis=0)
+
+
 def test_sample_sparse_channel_builds_the_dft_matrix_only_for_h_spatial(count_calls):
-    calls = count_calls(dcsparse.channel, ("_dft_columns",))
+    calls = count_calls(dcsparse.channel, ("_dft_rows",))
     s = sample_sparse_channel(130, 4, 5)
-    assert calls["_dft_columns"] == 0
+    assert calls["_dft_rows"] == 0
     h = s.h_spatial
-    # Blocks of 64, 64 and 2 columns.
-    assert calls["_dft_columns"] == 3
-    # The same products from dft_matrix's own columns: the same BLAS calls,
-    # so equal at any thread count.  The whole product is checked below.
-    u = dft_matrix(130)
-    blocks = [np.conj(u[:, a:b]).T @ s.h_angular for a, b in [(0, 64), (64, 128), (128, 130)]]
-    assert np.array_equal(h, np.concatenate(blocks))
+    assert calls["_dft_rows"] == 1
+    assert s.h_spatial.tobytes() == h.tobytes()
+    assert calls["_dft_rows"] == 2
+    assert h.tobytes() == _path_sum(dft_matrix(130), s.h_angular).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 31, 64])
@@ -111,41 +115,49 @@ def test_dft_matrix_and_h_spatial_are_the_reference_expressions_bit_for_bit(n):
     reference = np.exp(2j * np.pi * np.outer(phis, np.arange(n))) / np.sqrt(n)
     assert dft_matrix(n).tobytes() == reference.tobytes()
     s = sample_sparse_channel(n, min(n, 4), n)
-    assert s.h_spatial.tobytes() == (reference.conj().T @ s.h_angular).tobytes()
+    # Bit for bit the sum of the path responses; to rounding the whole product.
+    assert s.h_spatial.tobytes() == _path_sum(reference, s.h_angular).tobytes()
+    whole = reference.conj().T @ s.h_angular
+    assert np.linalg.norm(s.h_spatial - whole) <= 1e-14 * np.linalg.norm(whole)
 
 
-def test_h_spatial_is_the_whole_dft_product_bit_for_bit():
-    # A lone last column would go through numpy's dot routine, whose last
-    # bits differ: n = 1 (mod 64) is where that would show.
-    differ = _run_with_one_blas_thread("""
-        import numpy as np
-        from dcsparse.channel import dft_matrix, sample_sparse_channel
-        differ = []
+def test_h_spatial_matches_the_whole_dft_product():
+    for n in [*range(1, 300), 1023, 1024, 1025, 2048]:
+        u = dft_matrix(n)
+        for sparsity in {1, min(n, 16), n} if n < 300 else {16}:
+            s = sample_sparse_channel(n, sparsity, n)
+            whole = np.conj(np.conj(s.h_angular) @ u)  # conj(u).T @ h without a copy of u
+            assert np.linalg.norm(s.h_spatial - whole) <= 1e-14 * np.linalg.norm(whole), (n, sparsity)
+
+
+def test_h_spatial_bytes_do_not_depend_on_the_blas_thread_count():
+    # A BLAS product's last bits vary with the thread count (see
+    # _run_with_blas_threads); the sum over paths makes no BLAS call.
+    code = """
+        import hashlib
+        from dcsparse.channel import sample_sparse_channel
+        digest = hashlib.sha256()
         for n in [*range(1, 301), 1023, 1024, 1025]:
-            s = sample_sparse_channel(n, min(n, 16), n)
-            if s.h_spatial.tobytes() != (np.conj(dft_matrix(n)).T @ s.h_angular).tobytes():
-                differ.append(n)
-        print(differ)
-    """)
-    assert differ.strip() == "[]"
-    # At this process's own BLAS thread count the two agree to rounding.
-    for n in [65, 130, 1025]:
-        s = sample_sparse_channel(n, 16, n)
-        whole = np.conj(dft_matrix(n)).T @ s.h_angular
-        assert np.linalg.norm(s.h_spatial - whole) <= 1e-15 * np.linalg.norm(whole)
+            digest.update(sample_sparse_channel(n, min(n, 16), n).h_spatial.tobytes())
+        print(digest.hexdigest())
+    """
+    assert _run_with_blas_threads(code, 1) == _run_with_blas_threads(code, 2)
 
 
-@pytest.mark.parametrize("n, start, stop", [(1, 0, 1), (7, 2, 5), (130, 64, 130), (256, 0, 256)])
-def test_dft_columns_are_the_dft_matrix_columns(n, start, stop):
-    block = dcsparse.channel._dft_columns(n, start, stop)
-    assert block.flags.c_contiguous
-    assert block.tobytes() == np.ascontiguousarray(dft_matrix(n)[:, start:stop]).tobytes()
+@pytest.mark.parametrize("n, bins", [(1, [0]), (7, [2, 3, 4]), (130, [0, 64, 129]), (256, range(256))],
+                         ids=["1-single", "7-adjacent", "130-spread", "256-all"])
+def test_dft_rows_are_the_dft_matrix_rows(n, bins):
+    bins = np.array(bins)
+    rows = dcsparse.channel._dft_rows(n, bins)
+    assert rows.flags.c_contiguous
+    assert rows.tobytes() == dft_matrix(n)[bins].tobytes()
 
 
-def test_h_spatial_holds_one_column_block_at_its_peak(traced_peak):
-    # U is 16 MiB at n = 1024; a 64-column block is 1 MiB.
-    s = sample_sparse_channel(1024, 16, 3)
-    assert traced_peak(lambda: s.h_spatial) <= 2 * 2**20
+def test_h_spatial_holds_one_block_of_rows_at_its_peak(traced_peak):
+    # U is 16 MiB at n = 1024; the s = 16 rows of U at the support are 256 KiB.
+    n, sparsity = 1024, 16
+    s = sample_sparse_channel(n, sparsity, 3)
+    assert traced_peak(lambda: s.h_spatial) <= 2 * sparsity * n * 16
 
 
 def test_sample_sparse_channel_full_density_boundary():
@@ -176,6 +188,18 @@ def test_sample_sparse_channel_rejects_bad_sparsity():
         sample_sparse_channel(8, 9, 0)
     with pytest.raises(ValueError):
         sample_sparse_channel(8, 0, 0)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_sparse_channel_names_a_bad_antenna_count_before_sparsity(n):
+    with pytest.raises(ValueError, match=f"^antenna count must be >= 1, got {n}$"):
+        sample_sparse_channel(n, 1, 0)
+
+
+def test_generate_exits_1_naming_a_negative_antenna_count(tmp_path, capsys):
+    code = cli_main(["generate", "--n", "-3", "--sparsity", "1", "--out", str(tmp_path / "inst")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: antenna count must be >= 1, got -3\n"
 
 
 def test_sample_sparse_channel_rejects_generator():
