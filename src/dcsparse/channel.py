@@ -21,14 +21,11 @@ class ChannelSample:
     """One channel realization; treat as read-only after construction.
 
     x_real stacks [Re(h_angular); Im(h_angular)] and is what the solvers
-    reconstruct.  `sparsity` counts nonzero complex angular entries; seed
-    is the integer seed the sample was drawn from.
+    reconstruct.
     """
 
     h_angular: np.ndarray
     x_real: np.ndarray
-    sparsity: int
-    seed: int
 
     @property
     def h_spatial(self) -> np.ndarray:
@@ -68,10 +65,14 @@ def _dft_rows(n: int, bins: np.ndarray) -> np.ndarray:
 
     Each step writes into the one complex result, with the ufuncs and
     operand order of exp(2j*pi*outer(phis, l)) / sqrt(n), so the values
-    are bit for bit that expression's.
+    are bit for bit that expression's.  The outer product goes into u.real
+    row by row, so no ufunc buffer casts it to complex or gathers strides.
     """
     phis = (np.arange(1, n + 1) - (n + 1) / 2) / n
-    u = np.multiply.outer(phis[bins], np.arange(n), out=np.empty((len(bins), n), dtype=complex))
+    l = np.arange(n, dtype=float)
+    u = np.zeros((len(bins), n), dtype=complex)
+    for row, phi in zip(u.real, phis[bins]):
+        np.multiply(phi, l, out=row)
     np.multiply(2j * np.pi, u, out=u)
     np.exp(u, out=u)
     return np.divide(u, np.sqrt(n), out=u)
@@ -107,9 +108,4 @@ def sample_sparse_channel(n: int, sparsity: int, seed: int) -> ChannelSample:
         bad = (re == 0.0) | (im == 0.0)
     h_angular = np.zeros(n, dtype=complex)
     h_angular[support] = (re + 1j * im) / np.sqrt(2.0)
-    return ChannelSample(
-        h_angular=h_angular,
-        x_real=concat_real(h_angular),
-        sparsity=sparsity,
-        seed=int(seed),
-    )
+    return ChannelSample(h_angular=h_angular, x_real=concat_real(h_angular))

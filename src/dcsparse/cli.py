@@ -117,6 +117,9 @@ def _cmd_generate(args) -> int:
     save_matrix(out / "phi.csv", phi)
     save_vector_csv(out / "y.csv", "y", y)
     save_vector_csv(out / "x_true.csv", "x_true", sample.x_real)
+    # generate run again with these four values rewrites out byte for byte.
+    instance = {"n": args.n, "sparsity": args.sparsity, "m": args.m, "seed": args.seed}
+    (out / "instance.json").write_text(json.dumps(instance, indent=2) + "\n")
     print(f"wrote channel, phi ({args.m}x{2 * args.n}), y, x_true to {out}")
     return 0
 

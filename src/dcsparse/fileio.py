@@ -157,28 +157,21 @@ def load_vector_csv(path):
 
 
 def save_channel(sample: ChannelSample, out_dir) -> None:
-    """Writes channel_<field>.csv per field plus channel.json with n, sparsity, seed."""
+    """Writes channel_h_spatial.csv and channel_h_angular.csv; x_real is the caller's to write."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_vector_csv(out_dir / "channel_h_spatial.csv", "h_spatial", sample.h_spatial)
     save_vector_csv(out_dir / "channel_h_angular.csv", "h_angular", sample.h_angular)
-    save_vector_csv(out_dir / "channel_x_real.csv", "x_real", sample.x_real)
-    meta = {"n": int(sample.h_angular.size), "sparsity": int(sample.sparsity),
-            "seed": sample.seed}
-    (out_dir / "channel.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def save_matrix(path, matrix: MeasurementMatrix) -> None:
-    """Row-major CSV, one row per line, no header; a JSON sidecar of m, n, seed, never read."""
-    path = Path(path)
-    with path.open("w") as f:  # one row's text at a time
+    """Row-major CSV, one row per line, no header."""
+    with open(path, "w") as f:  # one row's text at a time
         f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in matrix.phi)
-    sidecar = {"m": matrix.m, "n": matrix.n, "seed": matrix.seed}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_matrix(path) -> MeasurementMatrix:
-    """Reads path alone, seed None; raises ValueError naming a bad cell's or ragged row's line."""
+    """Reads path; raises ValueError naming a bad cell's or ragged row's line."""
     return MeasurementMatrix(_read_rows(path, _line_blocks(path)))
 
 

@@ -29,7 +29,7 @@ def aligned_empty(shape) -> np.ndarray:
 
 @dataclass(eq=False)
 class MeasurementMatrix:
-    """Dense real measurement operator with its draw seed.
+    """Dense real measurement operator.
 
     m and n read phi's shape, which must be 2-D and nonempty.  phi is
     stored C-ordered, starting on a 64-byte boundary, and any other phi is
@@ -43,7 +43,6 @@ class MeasurementMatrix:
     """
 
     phi: np.ndarray
-    seed: int | None = field(default=None, kw_only=True)
     _lam_max_cache: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -68,28 +67,35 @@ def gaussian_matrix(m: int, n: int, seed: int) -> MeasurementMatrix:
     """Draw an m x n matrix with i.i.d. standard normal entries from an integer seed."""
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {m}x{n}")
-    return MeasurementMatrix(make_rng(seed).standard_normal(out=aligned_empty((m, n))), seed=int(seed))
+    return MeasurementMatrix(make_rng(seed).standard_normal(out=aligned_empty((m, n))))
 
 
 def measure(phi: MeasurementMatrix, x: np.ndarray) -> np.ndarray:
     """Compress a signal: y = phi @ x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (phi.n,):
-        raise ValueError(f"signal has length {x.shape[0] if x.ndim else 0} but matrix has {phi.n} columns")
+        raise ValueError(f"signal has shape {x.shape}, expected ({phi.n},)")
     return phi.phi @ x
 
 
 def snr_to_sigma(x: np.ndarray, m: int, snr_db: float) -> float:
     """Noise standard deviation hitting a target SNR.
 
-    Inverts SNR = ||x||^2 / (m * sigma^2) with the SNR given in dB.
+    Inverts SNR = ||x||^2 / (m * sigma^2) with the SNR given in dB; raises
+    ValueError unless 10^(snr_db/10) is a positive finite float.
     """
     if m < 1:
         raise ValueError(f"measurement count must be >= 1, got {m}")
     energy = float(np.asarray(x, dtype=float) @ np.asarray(x, dtype=float))
     if energy == 0.0:
         raise ValueError("signal energy is zero; SNR is undefined")
-    return float(np.sqrt(energy / (m * 10.0 ** (snr_db / 10.0))))
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = np.inf
+    if not 0.0 < ratio < np.inf:
+        raise ValueError(f"snr_db must be finite with 10^(snr_db/10) in the float range, got {snr_db}")
+    return float(np.sqrt(energy / (m * ratio)))
 
 
 def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -97,8 +103,8 @@ def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:
 
     sigma == 0 returns a copy of y.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     y = np.asarray(y, dtype=float)
     if sigma == 0:
         return y.copy()

@@ -89,7 +89,6 @@ def test_sample_sparse_channel_deterministic():
     assert np.array_equal(a.h_angular, b.h_angular)
     assert np.array_equal(a.h_spatial, b.h_spatial)
     assert np.array_equal(a.x_real, b.x_real)
-    assert a.seed == b.seed == 99
 
 
 def _path_sum(u, h):
@@ -158,6 +157,13 @@ def test_h_spatial_holds_one_block_of_rows_at_its_peak(traced_peak):
     n, sparsity = 1024, 16
     s = sample_sparse_channel(n, sparsity, 3)
     assert traced_peak(lambda: s.h_spatial) <= 2 * sparsity * n * 16
+
+
+def test_dft_rows_hold_little_beyond_their_result_at_their_peak(traced_peak):
+    # A float-to-complex cast of the outer product went through a ufunc
+    # buffer of about 210 KiB on top of the 256 KiB result.
+    n, bins = 1024, np.arange(0, 1024, 64)
+    assert traced_peak(lambda: dcsparse.channel._dft_rows(n, bins)) <= 1.25 * len(bins) * n * 16
 
 
 def test_sample_sparse_channel_full_density_boundary():

@@ -20,11 +20,22 @@ def instance_dir(tmp_path):
 
 
 def test_generate_writes_files(instance_dir):
-    for name in ("channel.json", "channel_h_angular.csv", "phi.csv", "phi.json",
-                 "y.csv", "x_true.csv"):
-        assert (instance_dir / name).exists()
-    meta = json.loads((instance_dir / "channel.json").read_text())
-    assert meta["n"] == 16 and meta["sparsity"] == 2
+    assert sorted(p.name for p in instance_dir.iterdir()) == [
+        "channel_h_angular.csv", "channel_h_spatial.csv", "instance.json", "phi.csv",
+        "x_true.csv", "y.csv"]
+    instance = json.loads((instance_dir / "instance.json").read_text())
+    assert instance == {"n": 16, "sparsity": 2, "m": 12, "seed": 11}
+
+
+def test_generate_rebuilds_its_directory_from_instance_json(instance_dir, tmp_path_factory):
+    instance = json.loads((instance_dir / "instance.json").read_text())
+    again = tmp_path_factory.mktemp("again")
+    args = [arg for key, value in instance.items() for arg in (f"--{key}", str(value))]
+    assert cli_main(["generate", *args, "--out", str(again)]) == 0
+    files = sorted(p.name for p in instance_dir.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == files
+    for name in files:
+        assert (again / name).read_bytes() == (instance_dir / name).read_bytes(), name
 
 
 def test_solve_happy_path(instance_dir, capsys):
@@ -223,6 +234,17 @@ def test_bench_snr_sweep_with_json(tmp_path, capsys):
     assert "nmse" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("snr_db", ["1e305", "-1e305"])
+def test_bench_exits_1_at_an_snr_whose_ratio_leaves_the_float_range(tmp_path, capsys, snr_db):
+    # 10^(snr_db/10) overflows at 1e305 and underflows to 0 at -1e305,
+    # though each point has a millibel cell-seed key of its own.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_antennas=16\nsparsity=2\nm=12\nk=4\nsamples=1\nsnr_grid={snr_db}\n"
+                   "solvers=omp\n")
+    assert cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: snr_db must be finite")
+
+
 def test_bench_seed_override_changes_records(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_antennas=16\nsparsity=2\nm=12\nk=4\nsamples=1\nseed=5\nsolvers=omp\n")
@@ -314,16 +336,6 @@ def test_truth_length_is_checked_before_any_solve(instance_dir, capsys, monkeypa
                      "--y", str(instance_dir / "y.csv"), "--k", "4", "--truth", str(short)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {short} has length 6 but phi has 32 columns\n"
-
-
-def test_solve_ignores_a_sidecar_that_is_not_an_object(instance_dir, capsys):
-    args = ["solve", "--phi", str(instance_dir / "phi.csv"), "--y", str(instance_dir / "y.csv"),
-            "--k", "4"]
-    assert cli_main(args) == 0
-    expected = capsys.readouterr()
-    (instance_dir / "phi.json").write_text("[1, 2]\n")
-    assert cli_main(args) == 0
-    assert capsys.readouterr() == expected
 
 
 def test_solve_reads_each_input_file_once(instance_dir, capsys, monkeypatch):

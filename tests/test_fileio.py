@@ -48,12 +48,12 @@ def test_integer_vector_writes_floats(tmp_path):
 def test_channel_round_trip(tmp_path):
     s = sample_sparse_channel(32, 4, 77)
     save_channel(s, tmp_path)
-    for field in ("h_spatial", "h_angular", "x_real"):
+    fields = ("h_angular", "h_spatial")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"channel_{f}.csv" for f in fields]
+    for field in fields:
         name, back = load_vector_csv(tmp_path / f"channel_{field}.csv")
         assert name == field
         assert np.array_equal(back, getattr(s, field))
-    meta = json.loads((tmp_path / "channel.json").read_text())
-    assert meta == {"n": 32, "sparsity": 4, "seed": 77}
 
 
 def test_save_channel_has_no_stem(tmp_path):
@@ -61,29 +61,28 @@ def test_save_channel_has_no_stem(tmp_path):
         save_channel(sample_sparse_channel(8, 2, 1), tmp_path, stem="other")
 
 
-def test_matrix_round_trip_with_sidecar(tmp_path):
+def test_matrix_round_trip_writes_phi_csv_alone(tmp_path):
     m = gaussian_matrix(5, 7, 13)
     path = tmp_path / "phi.csv"
     save_matrix(path, m)
+    assert list(tmp_path.iterdir()) == [path]
     back = load_matrix(path)
     assert np.array_equal(back.phi, m.phi)
-    assert (back.m, back.n, back.seed) == (5, 7, None)
-    assert json.loads((tmp_path / "phi.json").read_text()) == {"m": 5, "n": 7, "seed": 13}
+    assert (back.m, back.n) == (5, 7)
     assert not path.read_text().split("\n")[0][0].isalpha()  # no header line
 
 
-# Sidecar texts valid and malformed alike; None: no phi.json at all.
+# A phi.json that an older generate left beside phi.csv, valid and
+# malformed alike; None: no phi.json at all.
 @pytest.mark.parametrize("sidecar", [
     '{"seed": null}', "{}", '{"m": 2, "seed": 9}', "[1, 2]", "3", '"seed"', '{"seed": 1.5}',
     '{"seed": "7"}', '{"seed": true}', '{"seed": [7]}', '{"seed": 1', None])
 def test_load_matrix_never_reads_the_sidecar(tmp_path, sidecar):
     path, matrix = tmp_path / "phi.csv", gaussian_matrix(2, 3, 1)
     save_matrix(path, matrix)
-    (tmp_path / "phi.json").unlink()
     if sidecar is not None:
         (tmp_path / "phi.json").write_text(sidecar)
-    back = load_matrix(path)
-    assert back.phi.tobytes() == matrix.phi.tobytes() and back.seed is None
+    assert load_matrix(path).phi.tobytes() == matrix.phi.tobytes()
 
 
 def test_trace_csv_layout(tmp_path):
@@ -153,7 +152,7 @@ def test_save_result_files(tmp_path):
 def test_save_matrix_writes_each_value_by_repr_and_reads_back_bit_exact(tmp_path, rows):
     phi = np.array(rows)
     path = tmp_path / "phi.csv"
-    save_matrix(path, MeasurementMatrix(phi, seed=3))
+    save_matrix(path, MeasurementMatrix(phi))
     assert path.read_text() == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in phi)
     back = load_matrix(path).phi
     assert back.shape == phi.shape and back.tobytes() == phi.tobytes()

@@ -10,7 +10,6 @@ def test_gaussian_matrix_deterministic():
     a = gaussian_matrix(8, 16, 42)
     b = gaussian_matrix(8, 16, 42)
     assert np.array_equal(a.phi, b.phi)
-    assert a.seed == 42
 
 
 def test_gaussian_matrix_statistics():
@@ -41,8 +40,8 @@ def test_measurement_matrix_validates_shape():
 
 def test_measurement_matrix_dimensions_are_phi_shape():
     mm = MeasurementMatrix(np.eye(3, 5))
-    assert (mm.m, mm.n, mm.seed) == (3, 5, None)
-    # The seed is keyword-only: a positional dimension is not taken for it.
+    assert (mm.m, mm.n) == (3, 5)
+    # phi is the one constructor argument: a positional dimension is not taken.
     with pytest.raises(TypeError):
         MeasurementMatrix(np.eye(3, 5), 3)
     with pytest.raises(AttributeError):
@@ -109,6 +108,11 @@ def test_measure_dimension_mismatch():
         measure(phi, np.zeros(5))
 
 
+def test_measure_names_the_shape_of_a_column_signal():
+    with pytest.raises(ValueError, match=r"^signal has shape \(6, 1\), expected \(6,\)$"):
+        measure(gaussian_matrix(4, 6, 1), np.zeros((6, 1)))
+
+
 def test_snr_to_sigma_zero_db():
     x = np.array([2.0, 0.0])  # energy 4
     assert snr_to_sigma(x, 2, 0.0) == pytest.approx(np.sqrt(2.0))
@@ -127,6 +131,20 @@ def test_snr_to_sigma_20db():
 def test_snr_to_sigma_rejects_zero_signal():
     with pytest.raises(ValueError):
         snr_to_sigma(np.zeros(3), 2, 10.0)
+
+
+@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf, 1e305, -1e305])
+def test_snr_to_sigma_rejects_an_snr_whose_ratio_is_not_a_positive_float(snr_db):
+    # 1e305 overflows 10^(snr_db/10) and -1e305 underflows it to 0.
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        snr_to_sigma(np.ones(4), 4, snr_db)
+
+
+def test_snr_to_sigma_keeps_the_formula_bit_for_bit():
+    x = make_rng(4).standard_normal(32)
+    energy = float(x @ x)
+    for snr_db in (-3000.0, -300.0, -10.5, 0.0, 5.0, 25.0, 300.0, 3000.0, np.float64(12.5)):
+        assert snr_to_sigma(x, 24, snr_db) == float(np.sqrt(energy / (24 * 10.0 ** (snr_db / 10.0))))
 
 
 def test_add_noise_noiseless_passthrough():
@@ -152,6 +170,12 @@ def test_add_noise_sample_variance():
 def test_add_noise_rejects_negative_sigma():
     with pytest.raises(ValueError):
         add_noise(np.zeros(3), -0.1, 1)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_add_noise_rejects_a_sigma_that_is_not_finite(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        add_noise(np.zeros(3), sigma, 1)
 
 
 def test_empirical_snr_matches_request():
