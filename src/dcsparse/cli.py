@@ -109,7 +109,6 @@ def _print_metrics(metrics: dict, fmt: str) -> None:
 
 def _cmd_generate(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sample = sample_sparse_channel(args.n, args.sparsity, derive_seed(args.seed, 0))
     phi = gaussian_matrix(args.m, 2 * args.n, derive_seed(args.seed, 1))
     y = measure(phi, sample.x_real)

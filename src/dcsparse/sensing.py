@@ -82,7 +82,8 @@ def snr_to_sigma(x: np.ndarray, m: int, snr_db: float) -> float:
     """Noise standard deviation hitting a target SNR.
 
     Inverts SNR = ||x||^2 / (m * sigma^2) with the SNR given in dB; raises
-    ValueError unless 10^(snr_db/10) is a positive finite float.
+    ValueError unless 10^(snr_db/10) is a positive finite float and the
+    noise power ||x||^2 / (m * 10^(snr_db/10)) is finite.
     """
     if m < 1:
         raise ValueError(f"measurement count must be >= 1, got {m}")
@@ -95,7 +96,11 @@ def snr_to_sigma(x: np.ndarray, m: int, snr_db: float) -> float:
         ratio = np.inf
     if not 0.0 < ratio < np.inf:
         raise ValueError(f"snr_db must be finite with 10^(snr_db/10) in the float range, got {snr_db}")
-    return float(np.sqrt(energy / (m * ratio)))
+    power = energy / (m * ratio)
+    if power == np.inf:
+        raise ValueError("snr_db must be finite with ||x||^2 / (m * 10^(snr_db/10)) in the "
+                         f"float range, got {snr_db}")
+    return float(np.sqrt(power))
 
 
 def add_noise(y: np.ndarray, sigma: float, seed: int) -> np.ndarray:

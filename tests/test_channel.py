@@ -13,7 +13,9 @@ from dcsparse.channel import concat_real, dft_matrix, sample_sparse_channel
 from dcsparse.cli import cli_main
 from dcsparse.seeding import make_rng
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# The directory dcsparse was imported from: src/ in a checkout, site-packages
+# when the suite runs against an installed package.
+PACKAGE_ROOT = Path(dcsparse.__file__).resolve().parents[1]
 
 
 def _run_with_blas_threads(code, threads):
@@ -26,7 +28,7 @@ def _run_with_blas_threads(code, threads):
     a new process can set it.
     """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
@@ -203,9 +205,15 @@ def test_sample_sparse_channel_names_a_bad_antenna_count_before_sparsity(n):
 
 
 def test_generate_exits_1_naming_a_negative_antenna_count(tmp_path, capsys):
-    code = cli_main(["generate", "--n", "-3", "--sparsity", "1", "--out", str(tmp_path / "inst")])
-    assert code == 1
-    assert capsys.readouterr().err == "error: antenna count must be >= 1, got -3\n"
+    # Each rejected argument leaves no directory behind.
+    for args, message in [(["--n", "-3", "--sparsity", "1"], "antenna count must be >= 1, got -3"),
+                          (["--n", "8", "--sparsity", "9"], "sparsity must lie in [1, 8], got 9"),
+                          (["--n", "8", "--sparsity", "2", "--m", "0"],
+                           "matrix dimensions must be >= 1, got 0x16")]:
+        code = cli_main(["generate", *args, "--out", str(tmp_path / "inst")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "inst").exists()
 
 
 def test_sample_sparse_channel_rejects_generator():

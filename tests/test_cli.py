@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -51,17 +52,22 @@ def test_solve_happy_path(instance_dir, capsys):
     assert (instance_dir / "run" / "trace_dc_gpsr.csv").exists()
 
 
-def test_solve_evaluates_full_trace_only_with_out(instance_dir, capsys, monkeypatch):
+@pytest.mark.parametrize("solver", ["gpsr", "ista"])
+def test_solve_evaluates_full_trace_only_with_out(instance_dir, capsys, monkeypatch, solver):
     # solve writes the trace only under --out; without it no stack of
     # inner trace points is evaluated, and the printed metrics are the same.
     args = ["solve", "--phi", str(instance_dir / "phi.csv"),
-            "--y", str(instance_dir / "y.csv"), "--k", "4", "--solver", "gpsr",
+            "--y", str(instance_dir / "y.csv"), "--k", "4", "--solver", solver,
             "--truth", str(instance_dir / "x_true.csv"), "--format", "json"]
     assert cli_main(args + ["--out", str(instance_dir / "run")]) == 0
     written = json.loads(capsys.readouterr().out)
-    lines = (instance_dir / "run" / "trace_gpsr.csv").read_text().splitlines()
+    with open(instance_dir / "run" / f"trace_{solver}.csv") as f:
+        rows = list(csv.DictReader(f))
     # One data row per inner iteration plus the start; over 65, so --out evaluated a batch.
-    assert len(lines) - 1 == written["inner_iters"] + 1 > 65
+    assert len(rows) == written["inner_iters"] + 1 > 65
+    # One evaluator scores the trace's end point and the printed x_hat.
+    assert (float(rows[-1]["F"]), float(rows[-1]["l1_objective"])) == (
+        written["objective"], written["objective_l1"])
 
     record, recorded = dcsparse.solvers._record, []
 
@@ -210,6 +216,24 @@ def test_oracle_subcommand(instance_dir, capsys):
     assert metrics["residual_sq"] <= 1e-12
 
 
+def test_oracle_exits_1_at_the_guard_before_any_fit(tmp_path, capsys, monkeypatch):
+    # A 10 x 24 phi with --k 24: C(24, 24) = 1, but the sizes 1 to 24 make
+    # 2^24 - 1 supports, so the guard must stop the oracle before it starts.
+    assert cli_main(["generate", "--n", "12", "--sparsity", "2", "--m", "10",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    def refuse(*a, **k):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    code = cli_main(["oracle", "--phi", str(tmp_path / "phi.csv"),
+                     "--y", str(tmp_path / "y.csv"), "--k", "24"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: 16777215 supports of size 1 to 24 among 24 columns exceed the 1e6 guard\n")
+
+
 def test_bench_noiseless(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_antennas=16\nsparsity=2\nm=12\nk=4\nsamples=2\nseed=5\n"
@@ -234,15 +258,17 @@ def test_bench_snr_sweep_with_json(tmp_path, capsys):
     assert "nmse" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("snr_db", ["1e305", "-1e305"])
+@pytest.mark.parametrize("snr_db", ["1e305", "-1e305", "-3200"])
 def test_bench_exits_1_at_an_snr_whose_ratio_leaves_the_float_range(tmp_path, capsys, snr_db):
     # 10^(snr_db/10) overflows at 1e305 and underflows to 0 at -1e305,
-    # though each point has a millibel cell-seed key of its own.
+    # though each point has a millibel cell-seed key of its own; at -3200 it
+    # is subnormal and the noise power overflows.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n_antennas=16\nsparsity=2\nm=12\nk=4\nsamples=1\nsnr_grid={snr_db}\n"
                    "solvers=omp\n")
     assert cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: snr_db must be finite")
+    err = capsys.readouterr().err
+    assert err.startswith("error: snr_db must be finite") and err.endswith(f"got {float(snr_db)}\n")
 
 
 def test_bench_seed_override_changes_records(tmp_path):

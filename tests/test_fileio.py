@@ -239,7 +239,8 @@ def test_save_matrix_holds_about_one_row_of_text(tmp_path, traced_peak):
 def test_load_matrix_holds_no_whole_text_copy(tmp_path, traced_peak):
     phi = gaussian_matrix(128, 512, 5)
     save_matrix(tmp_path / "phi.csv", phi)
-    load_matrix(tmp_path / "phi.csv")
+    back = load_matrix(tmp_path / "phi.csv").phi
+    assert back.shape == phi.phi.shape and back.tobytes() == phi.phi.tobytes()
     assert traced_peak(lambda: load_matrix(tmp_path / "phi.csv")) <= 3 * phi.phi.nbytes
 
 

@@ -133,9 +133,10 @@ def test_snr_to_sigma_rejects_zero_signal():
         snr_to_sigma(np.zeros(3), 2, 10.0)
 
 
-@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf, 1e305, -1e305])
+@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf, 1e305, -1e305, -3200])
 def test_snr_to_sigma_rejects_an_snr_whose_ratio_is_not_a_positive_float(snr_db):
-    # 1e305 overflows 10^(snr_db/10) and -1e305 underflows it to 0.
+    # 1e305 overflows 10^(snr_db/10) and -1e305 underflows it to 0; at -3200
+    # the ratio is a subnormal 1e-320 and ||x||^2 / (m * ratio) overflows.
     with pytest.raises(ValueError, match="snr_db must be finite"):
         snr_to_sigma(np.ones(4), 4, snr_db)
 
