@@ -117,8 +117,7 @@ def default_rho(phi: MeasurementMatrix, y: np.ndarray, sigma: float = 0.0) -> fl
     which suppresses pure-noise coordinates while keeping weak signal
     components detectable; the top-k credit leaves the selected support
     unshrunk regardless.  Returns 1.0 for y == 0.  The column norms come
-    from _column_norms, which holds one row of scratch, not a square of
-    all of phi.
+    from _column_norms, which holds no square of all of phi.
     """
     pm = phi.phi
     v = 5e-4 * float(np.max(np.abs(pm.T @ np.asarray(y, dtype=float))))
@@ -132,19 +131,15 @@ def _column_norms(pm: np.ndarray) -> np.ndarray:
     """The 2-norm of each column of pm, bit for bit np.linalg.norm(pm, axis=0).
 
     That call squares all of pm into a temporary and sums it row after
-    row.  Here each row is squared into one scratch row and added in
-    place, in the same order, so nothing larger than a row is held.  On
-    one column numpy sums the contiguous axis pairwise instead, which a
-    row loop does not reproduce, so a one-column pm goes to that call,
+    row.  einsum("ij,ij->j") adds each column's squares in the same row
+    order without the temporary, so nothing larger than a row is held.
+    On one column numpy sums the contiguous axis pairwise instead, which
+    einsum does not reproduce, so a one-column pm goes to that call,
     whose temporary is then one column.
     """
     if pm.shape[1] == 1:
         return np.linalg.norm(pm, axis=0)
-    acc = pm[0] * pm[0]
-    row = np.empty_like(acc)
-    for i in range(1, pm.shape[0]):
-        acc += np.multiply(pm[i], pm[i], out=row)
-    return np.sqrt(acc, out=acc)
+    return np.sqrt(np.einsum("ij,ij->j", pm, pm))
 
 
 @dataclass
@@ -388,11 +383,12 @@ def solve_bcqp_gp(p: SparseProblem, w_z: np.ndarray, z0: np.ndarray,
                 break  # negligible progress at this tolerance: stay put
         else:
             stall = 0
-        if beta != 1.0:  # zh becomes max(z + beta * d, 0); at beta == 1 it already is
+        if beta != 1.0:
+            # zh becomes z + beta * d, already >= +0 with no clamp: z >= 0
+            # and d = fl(zh - z) >= -z, so fl(beta * d) >= -z for beta < 1.
             beta_[()] = beta
             np.multiply(d, beta_, out=zh)
             np.add(z, zh, out=zh)
-            np.maximum(zh, zeros, out=zh)
             np.multiply(fd, beta_, out=fd)
         z, zh = zh, z
         if k % 64 == 0:

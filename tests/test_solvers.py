@@ -745,6 +745,29 @@ def test_bcqp_matches_reference_loop_across_product_refresh():
     assert assert_same_as_reference(p, np.zeros(64), np.zeros(64), opts) == 300
 
 
+def test_bcqp_partial_step_is_nonnegative_without_a_clamp():
+    # solve_bcqp_gp moves to z + beta * d at beta < 1 and clamps no more:
+    # z >= 0 and d = fl(max(z - alpha * g, 0) - z) >= -z, so fl(beta * d)
+    # >= -z and the sum is >= +0, which max(., 0) returns bit for bit.
+    tiny = np.nextafter(0.0, 1.0)
+    z_values = np.array([0.0, -0.0, tiny, 1e-300, 1.0, 1e308])
+    g_values = np.array([0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 1.0, -1.0, 1e308, -1e308])
+    rng = make_rng(9102)
+    g_drawn = rng.standard_normal(200) * 10.0 ** rng.uniform(-320, 300, 200)
+    z = np.repeat(z_values, g_values.size + g_drawn.size)
+    g = np.tile(np.concatenate([g_values, g_drawn]), z_values.size)
+    zeros = np.zeros_like(z)
+    with np.errstate(over="ignore"):
+        for alpha in (1e-30, 1.0, 1e30):
+            zh = np.maximum(np.subtract(z, np.multiply(g, alpha)), zeros)
+            d = np.subtract(zh, z)
+            for beta in (tiny, 1e-16, 0.5, np.nextafter(1.0, 0.0)):
+                step = np.add(z, np.multiply(d, beta))
+                clamped = np.maximum(step, zeros)
+                assert np.array_equal(step.view(np.uint64), clamped.view(np.uint64))
+                assert not np.signbit(step).any()
+
+
 @pytest.mark.parametrize("solver", [gpsr_baseline, ista])
 def test_l1_solvers_without_inner_trace_take_two_products_per_iteration(solver):
     # Without per-iteration trace points only the two products of each
