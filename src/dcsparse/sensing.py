@@ -1,7 +1,5 @@
 """Gaussian measurement matrices, compression, and calibrated noise."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .seeding import make_rng
@@ -27,32 +25,38 @@ def aligned_empty(shape) -> np.ndarray:
     return buf[start:start + nbytes].view(float).reshape(shape)
 
 
-@dataclass(eq=False)
 class MeasurementMatrix:
     """Dense real measurement operator.
 
-    m and n read phi's shape, which must be 2-D and nonempty.  phi is
-    stored C-ordered, starting on a 64-byte boundary, and any other phi is
-    copied into such an array; the solvers' matrix-vector products are
-    fastest on it.  A solve therefore depends only on phi's values, not on
-    how the caller laid them out.
-
-    The solvers keep their power-method estimate of ||phi^T phi|| as
-    (phi, value) in _lam_max_cache and reuse it only while phi is that
-    same array object; write to a fresh array, not into phi in place.
+    m and n read phi's shape, which must be 2-D and nonempty.  The
+    constructor and every assignment store phi C-ordered from a 64-byte
+    boundary, copying any other layout, so the solvers' products run at
+    their fastest and a solve depends only on phi's values.  Assigning phi
+    also resets the solvers' cached power-method estimate of ||phi^T phi||;
+    write a new phi by assigning it, never into phi in place.
     """
 
-    phi: np.ndarray
-    _lam_max_cache: tuple | None = field(default=None, init=False, repr=False)
+    def __init__(self, phi):
+        self.phi = phi
 
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-        if self.phi.ndim != 2 or self.phi.size == 0:
-            raise ValueError(f"phi must be a nonempty 2-D array, got shape {self.phi.shape}")
-        if not self.phi.flags.c_contiguous or self.phi.ctypes.data % _ALIGN:
-            aligned = aligned_empty(self.phi.shape)
-            aligned[...] = self.phi
-            self.phi = aligned
+    @property
+    def phi(self) -> np.ndarray:
+        return self._phi
+
+    @phi.setter
+    def phi(self, phi):
+        phi = np.asanyarray(phi, dtype=float)
+        if phi.ndim != 2 or phi.size == 0:
+            raise ValueError(f"phi must be a nonempty 2-D array, got shape {phi.shape}")
+        if not phi.flags.c_contiguous or phi.ctypes.data % _ALIGN:
+            aligned = aligned_empty(phi.shape)
+            aligned[...] = phi
+            phi = aligned
+        self._phi = phi
+        self._lam_max_cache = None
+
+    def __repr__(self):
+        return f"MeasurementMatrix(phi={self.phi!r})"
 
     @property
     def m(self) -> int:

@@ -243,15 +243,11 @@ def _power_lam_max(mat: np.ndarray) -> float:
 
 
 def _lam_max(mm: MeasurementMatrix) -> float:
-    """_power_lam_max(mm.phi), or 1.0 where that is not positive (phi = 0).
-
-    Computed once per operator and reused while mm.phi is that array.
-    """
-    cached = mm._lam_max_cache
-    if cached is None or cached[0] is not mm.phi:
+    """_power_lam_max(mm.phi), or 1.0 where that is not positive (phi = 0), cached on mm."""
+    if mm._lam_max_cache is None:
         lam = _power_lam_max(mm.phi)
-        cached = mm._lam_max_cache = (mm.phi, lam if lam > 0 else 1.0)
-    return cached[1]
+        mm._lam_max_cache = lam if lam > 0 else 1.0
+    return mm._lam_max_cache
 
 
 def _bcqp_linear_term(p: SparseProblem, w_z: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,13 @@ def test_measurement_matrix_dimensions_are_phi_shape():
         mm.m = 4
     mm.phi = np.eye(2, 4)
     assert (mm.m, mm.n) == (2, 4)
+    assert mm.phi.flags.c_contiguous and mm.phi.ctypes.data % 64 == 0
+    assert np.array_equal(mm.phi, np.eye(2, 4))
+    # An assignment is validated like the constructor's argument, and a
+    # rejected one leaves phi as it was.
+    with pytest.raises(ValueError, match="nonempty 2-D"):
+        mm.phi = np.ones(3)
+    assert np.array_equal(mm.phi, np.eye(2, 4))
 
 
 def test_generators_reject_a_ready_generator():
@@ -61,13 +70,33 @@ def test_measurement_matrix_storage_is_cache_aligned():
     raw = gaussian_matrix(5, 7, 2).phi.copy()
     buf = np.empty(raw.size + 1)
     strided = np.empty((5, 14))[:, ::2]
-    # Whatever the input's layout, phi is stored as an aligned C array of its values.
+    # Whatever the input's layout, phi is stored as an aligned C array of
+    # its values, by the constructor and by an assignment to an operator.
     for layout in (buf[:raw.size].reshape(5, 7), buf[1:].reshape(5, 7),
                    np.asfortranarray(raw), strided):
         layout[...] = raw
-        mm = MeasurementMatrix(layout)
-        assert mm.phi.flags.c_contiguous and mm.phi.ctypes.data % 64 == 0
-        assert np.array_equal(mm.phi, raw)
+        assigned = gaussian_matrix(3, 4, 1)
+        assigned.phi = layout
+        for mm in (MeasurementMatrix(layout), assigned):
+            assert mm.phi.flags.c_contiguous and mm.phi.ctypes.data % 64 == 0
+            assert np.array_equal(mm.phi, raw)
+
+
+def test_an_aligned_subclass_view_is_kept_as_assigned():
+    # As bench/tracing.py swaps in a counting view: the copy's phi is then
+    # that same view, which keeps attributes set on it, and the original
+    # operator keeps its own phi.
+    class Tagged(np.ndarray):
+        pass
+
+    mm = gaussian_matrix(5, 7, 2)
+    phi = mm.phi
+    counted = copy.copy(mm)
+    view = mm.phi.view(Tagged)
+    counted.phi = view
+    counted.phi.tag = "counted"
+    assert counted.phi is view and counted.phi.tag == "counted"
+    assert mm.phi is phi and type(mm.phi) is np.ndarray
 
 
 def test_gaussian_matrix_draws_straight_into_its_storage(traced_peak):

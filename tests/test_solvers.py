@@ -1,4 +1,3 @@
-import copy
 import functools
 import inspect
 import warnings
@@ -18,10 +17,10 @@ from dcsparse.sensing import (MeasurementMatrix, add_noise, aligned_empty, gauss
                               measure, snr_to_sigma)
 from dcsparse.solvers import (_ALPHA_MAX, _ALPHA_MIN, _TOL_FLOOR, _TRACE_BATCH,
                               InstanceTooLarge, NumericalFailure, ReconResult, SolverOptions,
-                              SolverTrace, SparseProblem, _column_norms, _power_lam_max,
-                              _record, _solve_prox, bcqp_gradient, brute_force_l0, dc_gpsr,
-                              default_rho, gpsr_baseline, ista, objective_exact,
-                              objective_l1, omp, solve_bcqp_gp, split_pos_neg)
+                              SolverTrace, SparseProblem, _column_norms, _lam_max,
+                              _power_lam_max, _record, _solve_prox, bcqp_gradient,
+                              brute_force_l0, dc_gpsr, default_rho, gpsr_baseline, ista,
+                              objective_exact, objective_l1, omp, solve_bcqp_gp, split_pos_neg)
 from dcsparse.sparsity import sparsity_gap, top_k1_norm, top_k1_subgradient
 
 
@@ -436,9 +435,7 @@ class MatmulCounter(np.ndarray):
 def counted_problem(p):
     """A copy of p whose matrix logs its products (see MatmulCounter); returns (copy, log)."""
     log = []
-    q = copy.copy(p)
-    q.phi = copy.copy(p.phi)
-    q.phi.phi = p.phi.phi.view(MatmulCounter)
+    q = replace(p, phi=MeasurementMatrix(p.phi.phi.view(MatmulCounter)))
     q.phi.phi.log = log
     return q, log
 
@@ -558,14 +555,24 @@ def test_power_method_runs_once_per_operator(count_calls):
     for solver in (dc_gpsr, gpsr_baseline, ista):
         solver(p)
     assert calls["_power_lam_max"] == 1
-    cached_phi, value = p.phi._lam_max_cache
-    assert cached_phi is p.phi.phi and value == expected
-    # A copy whose phi is another array (here a counting view) computes its own.
+    assert p.phi._lam_max_cache == expected
+    # Another operator (here one on a counting view of phi) computes its own.
     counted_products(gpsr_baseline, p, SolverOptions(inner_max=5))
     assert calls["_power_lam_max"] == 2
     # A new operator starts without a value.
     assert gaussian_matrix(16, 32, 30)._lam_max_cache is None
     assert calls["_power_lam_max"] == 2
+    # Assigning phi drops the value: the next solve computes the new
+    # matrix's once and steps as a solve on a fresh operator does.
+    other = gaussian_matrix(16, 32, 31).phi
+    p.phi.phi = other
+    assert p.phi._lam_max_cache is None
+    results = [solver(p) for solver in (dc_gpsr, gpsr_baseline, ista)]
+    assert calls["_power_lam_max"] == 3
+    assert p.phi._lam_max_cache == _power_lam_max(other) != expected
+    fresh = replace(p, phi=MeasurementMatrix(other.copy()))
+    assert [r.x_hat.tobytes() for r in results] == \
+        [solver(fresh).x_hat.tobytes() for solver in (dc_gpsr, gpsr_baseline, ista)]
 
 
 def test_zero_operator_returns_zero_converged():
@@ -578,7 +585,7 @@ def test_zero_operator_returns_zero_converged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = [solver(p) for solver in (dc_gpsr, gpsr_baseline, ista)]
-    assert phi._lam_max_cache[1] == 1.0
+    assert phi._lam_max_cache == 1.0
     for res in results:
         assert np.array_equal(res.x_hat, np.zeros(10)) and res.converged
     assert [r.outer_iters for r in results] == [3, 1, 1]
@@ -944,9 +951,12 @@ def test_prox_matches_reference_loop_degenerate_inputs():
 
 def test_a_solve_depends_only_on_the_values_of_phi():
     # The same phi C-ordered, F-ordered, 8 bytes off a 64-byte boundary
-    # and as a strided view: MeasurementMatrix stores each as the same
-    # aligned C array, so default_rho and every solver give the same bytes.
-    # The noisy default_rho is checked on 20 matrices, the solvers on 2.
+    # and as a strided view, each passed to the constructor, then the
+    # F-ordered and strided ones assigned to an operator that held another
+    # matrix and its power-method estimate: MeasurementMatrix stores each
+    # as the same aligned C array, so default_rho and every solver give
+    # the same bytes.  The noisy default_rho is checked on 20 matrices, the
+    # solvers on 2.
     for sample in range(20):
         seed = derive_seed(9100, sample)
         channel = sample_sparse_channel(64, 4, derive_seed(seed, 0))
@@ -956,10 +966,17 @@ def test_a_solve_depends_only_on_the_values_of_phi():
         shifted = aligned_empty(phi.size + 1)[1:].reshape(phi.shape)
         strided = np.empty((32, 256))[:, ::2]
         rho = default_rho(MeasurementMatrix(phi), y, sigma)
-        outcomes = []
+        operators = []
         for layout in (phi, np.asfortranarray(phi), shifted, strided):
             layout[...] = phi
-            mm = MeasurementMatrix(layout)
+            operators.append(MeasurementMatrix(layout))
+        for layout in (np.asfortranarray(phi), strided):
+            mm = gaussian_matrix(32, 128, derive_seed(seed, 3))
+            _lam_max(mm)
+            mm.phi = layout
+            operators.append(mm)
+        outcomes = []
+        for mm in operators:
             assert default_rho(mm, y, sigma) == rho
             if sample < 2:
                 p = SparseProblem(y=y, phi=mm, k=8, rho=rho)
